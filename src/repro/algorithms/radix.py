@@ -23,10 +23,14 @@ Three variants are implemented because the paper distinguishes them:
     Keeps a single ``(flag, mask)`` pair describing the digits selected so
     far; each pass filters elements with ``(key & mask) == flag`` on the fly
     and never writes to the input.  Figure 12 reports this variant to be on
-    average 10.7x faster than the GGKS in-place design.
+    average 10.7x faster than the GGKS in-place design.  The host kernel is
+    one partition plus an exact pass count: the k-th key and the largest key
+    left out determine how many digit passes the GPU kernel runs, and the
+    modelled scan/extract traffic is charged for exactly those passes.
 
-All variants share the digit-selection logic in :class:`_RadixBase` and return
-identical results; only their memory-traffic behaviour differs.
+The out-of-place and GGKS variants share the digit-selection logic in
+:class:`_RadixBase`; all three return identical value sets and differ only in
+their memory-traffic behaviour.
 """
 
 from __future__ import annotations
@@ -191,82 +195,59 @@ class InPlaceRadixTopK(_RadixBase):
 class FlagRadixTopK(_RadixBase):
     """Dr. Top-k's flag-based in-place radix top-k (Section 5.1).
 
-    A single ``(flag, mask)`` pair tracks the radix prefix of interest.  Every
-    pass streams the input once and evaluates ``(key & mask) == flag`` to
-    decide whether an element is still a candidate — no stores, no scattered
-    writes.  A final pass extracts the top-k elements.
+    On the GPU a single ``(flag, mask)`` pair tracks the radix prefix of
+    interest: every pass streams the input once, keeps the elements with
+    ``(key & mask) == flag`` as candidates and extends the prefix by the digit
+    holding the k-th key — no stores, no scattered writes — and a final pass
+    extracts the top-k.
+
+    The host kernel skips the digit walk.  One ``np.partition`` yields the
+    k-th key ``kth`` and ``below``, the largest key left outside the top-k.
+    The prefix holds more candidates than slots left to fill exactly while
+    ``below`` shares ``kth``'s prefix, so pass ``p`` runs while ``below``
+    matches ``kth`` on the digits fixed before it; the first pass that fails
+    still records its scan.  The selection is every key above ``kth`` plus
+    the highest-position ties at ``kth`` — the digit walk's set and tie rule —
+    and the modelled ``radix_flag_scan``/``radix_flag_extract`` traffic is
+    that of the digit-pass kernel.
     """
 
     name = "radix_flag"
     distribution_stable = False
-    # The (flag, mask) prefix narrows to the k-th key's radix prefix; elements
-    # above the prefix are emitted in position order and ties inside it fill
-    # stably, so selections at larger k extend smaller-k selections exactly.
+    # Keys above the k-th key are emitted in position order and ties at it
+    # fill from the highest position down, so selections at larger k extend
+    # smaller-k selections exactly.
     prefix_consistent = True
 
     def _select(
         self, keys: np.ndarray, k: int, trace: Optional[ExecutionTrace]
     ) -> np.ndarray:
         n = keys.shape[0]
-        dtype = keys.dtype
-        need_type = np.uint64  # wide enough for any supported key dtype
-        flag = need_type(0)
-        mask = need_type(0)
-        accepted_count_by_value = 0
-        self.last_iterations = 0
-        mask_digit = (1 << self.bits_per_pass) - 1
-        keys64 = keys.astype(need_type, copy=False)
+        part = np.partition(keys, n - k)
+        kth = part[n - k]
+        # The largest key outside the top-k (none when k == n).
+        below = int(part[: n - k].max()) if k < n else None
 
-        # The number of elements still needed from inside the current prefix.
-        need = k
+        self.last_iterations = 0
+        # Lower bound of the prefix fixed so far (empty before the first pass).
+        prefix_floor = 0
         for shift in self._shifts(keys):
-            candidate_mask = (keys64 & mask) == flag
-            cand = keys64[candidate_mask]
-            m = cand.shape[0]
             if trace is not None:
                 trace.add("radix_flag_scan", loads=float(n), kernels=1)
-            if m <= need:
+            # The prefix holds more candidates than the slots left to fill
+            # exactly while a key outside the top-k still matches it.
+            if below is None or below < prefix_floor:
                 break
             self.last_iterations += 1
-            digits = ((cand >> need_type(shift)) & need_type(mask_digit)).astype(np.int64)
-            digit, count_above = self._digit_of_interest(digits, need)
-            need -= count_above
-            accepted_count_by_value += count_above
-            # Extend the prefix of interest by this pass's digit.
-            mask = mask | (need_type(mask_digit) << need_type(shift))
-            flag = flag | (need_type(digit) << need_type(shift))
-            if need == 0:
-                break
+            prefix_floor = (int(kth) >> shift) << shift
 
-        # Final extraction pass: elements above the prefix's upper bound were
-        # accepted "by value" during the digit passes; elements matching the
-        # prefix fill the remaining `need` slots.
-        threshold_mask = (keys64 & mask) == flag
-        prefix_candidates = np.nonzero(threshold_mask)[0]
-        if need > 0:
-            order = np.argsort(keys64[prefix_candidates], kind="stable")
-            inside = prefix_candidates[order[-need:]]
-        else:
-            inside = np.empty(0, dtype=np.int64)
-        if int(mask):
-            above_prefix = np.nonzero(keys64 > _prefix_upper_bound(flag, mask))[0]
-        else:
-            above_prefix = np.empty(0, dtype=np.int64)
+        # Every key >= kth, in position order; surplus ties at kth give way
+        # from the lowest position up.
+        selected = np.flatnonzero(keys >= kth)
+        surplus = selected.shape[0] - k
+        if surplus:
+            ties = np.flatnonzero(keys[selected] == kth)
+            selected = np.delete(selected, ties[:surplus])
         if trace is not None:
             trace.add("radix_flag_extract", loads=float(n), stores=float(k), kernels=1)
-        result = np.concatenate([above_prefix, inside])
-        if result.shape[0] != k:
-            # Defensive fallback; should not happen but guarantees correctness.
-            order_all = np.argsort(keys64, kind="stable")
-            result = order_all[-k:]
-        return result.astype(np.int64)
-
-
-def _prefix_upper_bound(flag: np.uint64, mask: np.uint64) -> np.uint64:
-    """Largest key value inside the prefix ``(flag, mask)``.
-
-    Keys strictly greater than this bound were accepted "by value" in earlier
-    passes (their digit exceeded the digit of interest).
-    """
-    full = np.uint64(np.iinfo(np.uint64).max)
-    return np.uint64(flag | (~mask & full))
+        return selected

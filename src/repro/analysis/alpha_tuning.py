@@ -23,6 +23,7 @@ and sets ``Const = 3`` after performance tuning.  This module provides:
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, Iterable, Optional
 
 import numpy as np
@@ -64,9 +65,9 @@ def optimal_alpha(n: int, k: int, const: float = PAPER_CONST) -> int:
     range ``[0, log2(n)]``.
     """
     _check_nk(n, k)
-    raw = 0.5 * (np.log2(n) - np.log2(k) + const)
-    hi = int(np.floor(np.log2(n)))
-    return int(np.clip(int(round(raw)), 0, hi))
+    raw = 0.5 * (math.log2(n) - math.log2(k) + const)
+    hi = int(n).bit_length() - 1  # floor(log2(n))
+    return min(max(int(round(raw)), 0), hi)
 
 
 def optimal_alpha_exact(

@@ -285,9 +285,9 @@ class DrTopK:
             alpha = optimal_alpha(n, k, const=cfg.rule4_const)
         # A subrange can never exceed the vector itself, and must hold >= beta
         # elements so that beta delegates exist.
-        max_alpha = max(int(np.floor(np.log2(n))), 0)
-        min_alpha = max(int(np.ceil(np.log2(max(cfg.beta, 1)))), 0)
-        return int(np.clip(alpha, min_alpha, max_alpha))
+        max_alpha = max(int(n).bit_length() - 1, 0)  # floor(log2(n))
+        min_alpha = (int(max(cfg.beta, 1)) - 1).bit_length()  # ceil(log2(beta))
+        return min(max(alpha, min_alpha), max_alpha)
 
     def _degenerate(
         self,

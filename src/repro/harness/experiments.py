@@ -10,7 +10,7 @@ larger sizes explicitly.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -83,6 +83,24 @@ ASSISTED_IMPL = {
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
+
+_Experiment = TypeVar("_Experiment", bound=Callable[..., List[Dict]])
+
+
+def measured(*columns: str) -> Callable[[_Experiment], _Experiment]:
+    """Name an experiment's measured host-time columns.
+
+    Wall-clocks, and the counts the load model derives from them, differ on
+    every run; the rest of a row (modelled bytes and milliseconds, counters)
+    is deterministic.  The names land on the runner as ``measured_columns``
+    so a recorder can persist only the reproducible columns.
+    """
+
+    def mark(fn: _Experiment) -> _Experiment:
+        fn.measured_columns = columns  # type: ignore[attr-defined]
+        return fn
+
+    return mark
 
 
 def _dataset_vector(name: str, n: int, seed: int) -> np.ndarray:
@@ -832,6 +850,7 @@ def service_throughput(
 # ---------------------------------------------------------------------------
 
 
+@measured("wall_ms", "unit_wall_ms_sum", "overlap_factor")
 def async_service(
     n: int = DEFAULT_N,
     batch: int = 16,
@@ -919,6 +938,7 @@ def _same_alpha_variant(engine, n: int, k: int) -> int:
     raise ConfigurationError(f"no same-alpha variant of k={k} exists for n={n}")
 
 
+@measured("wall_ms")
 def hotpath_reuse(
     n: int = DEFAULT_N,
     batch: int = 16,
@@ -1188,6 +1208,7 @@ def multivector_serving(
 # ---------------------------------------------------------------------------
 
 
+@measured("wall_ms")
 def splitgroup_dispatch(
     n: int = 1 << 16,
     dominant: int = 12,
@@ -1319,6 +1340,20 @@ def splitgroup_dispatch(
     return rows
 
 
+@measured(
+    "ok",
+    "shed",
+    "degraded",
+    "p50_ms",
+    "p95_ms",
+    "p99_ms",
+    "queue_p50_ms",
+    "queue_p95_ms",
+    "queue_p99_ms",
+    "mean_service_ms",
+    "slo_attainment",
+    "throughput_rps",
+)
 def loadgen_slo(
     n: int = 1 << 14,
     requests: int = 160,
@@ -1429,6 +1464,14 @@ def loadgen_slo(
 # ---------------------------------------------------------------------------
 
 
+@measured(
+    "wall_ms",
+    "stage_first_ms",
+    "stage_gather_ms",
+    "stage_refine_ms",
+    "stage_second_ms",
+    "stage_fallback_ms",
+)
 def hotfuse(
     n: int = 1 << 16,
     batch: int = 16,

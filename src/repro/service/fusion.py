@@ -39,6 +39,7 @@ arena scope closes.
 
 from __future__ import annotations
 
+import bisect
 import threading
 import time
 from contextlib import contextmanager
@@ -139,9 +140,8 @@ class ScratchArena:
         finally:
             borrowed = self._scopes.pop()
             for buf in borrowed:
-                bucket = self._free.setdefault(buf.dtype.str, [])
-                bucket.append(buf)
-                bucket.sort(key=lambda b: b.shape[0])
+                # Free lists stay sorted by size; equal sizes keep return order.
+                bisect.insort(self._free.setdefault(buf.dtype.str, []), buf, key=len)
                 self.held_bytes += buf.nbytes
             self._trim()
 
@@ -399,34 +399,39 @@ def _serve_fused(
         sorted_crit = arena.take((num_sub,), crit.dtype)
         np.copyto(sorted_crit, crit)
         sorted_crit.sort()
-    crit_of_delegate = arena.take((m,), crit.dtype)
-    np.take(crit, flat_sub_ids, out=crit_of_delegate)
 
     # -- one shared gather at the loosest threshold --------------------------
     t_loosest = min(thresholds.values())
-    scan_max = crit >= t_loosest
-    scanned_ids = np.nonzero(scan_max)[0]
+    scanned_ids = np.flatnonzero(crit >= t_loosest)
     s = int(scanned_ids.shape[0])
     sub_size = partition.subrange_size
-    block = positions = real = keep = row_mask = None
-    real_per_row = None
-    crit_rows = None
+    # Every query's candidates nest inside one pre-filtered union at
+    # t_loosest: the scanned block's real elements that can qualify (row-major,
+    # with their positions and row crit values) and the delegates >= t_loosest
+    # (flat order, with their subranges' crit values).  Per-query masks then
+    # touch only this union, never the whole block.
+    real_per_row = crit_rows = row_mask = None
+    u_keys = u_pos = u_crit = None
     if s:
         view = plan.padded_view()
         block = arena.take((s, sub_size), view.dtype)
         np.take(view, scanned_ids, axis=0, out=block)
-        positions = arena.take((s, sub_size), np.int64)
-        np.add(
-            (scanned_ids.astype(np.int64) << partition.alpha)[:, None],
-            np.arange(sub_size, dtype=np.int64),
-            out=positions,
-        )
-        real = arena.take((s, sub_size), bool)
-        np.less(positions, n, out=real)
-        real_per_row = real.sum(axis=1)
+        row_start = scanned_ids.astype(np.int64) << partition.alpha
+        real_per_row = np.minimum(n - row_start, sub_size)
         crit_rows = crit[scanned_ids]
-        keep = arena.take((s, sub_size), bool)
         row_mask = arena.take((s,), bool)
+        keep = arena.take((s, sub_size), bool)
+        if cfg.use_filtering:
+            np.greater_equal(block, t_loosest, out=keep)
+        else:
+            keep.fill(True)
+        # Only the final subrange can be padded, and ids are ascending.
+        keep[-1, real_per_row[-1] :] = False
+        flat = np.flatnonzero(keep)
+        rows = flat >> partition.alpha
+        u_keys = block.ravel()[flat]
+        u_pos = row_start[rows] + (flat & (sub_size - 1))
+        u_crit = crit_rows[rows]
         if shared_trace is not None:
             scanned_total = int(real_per_row.sum())
             shared_trace.add(
@@ -435,11 +440,17 @@ def _serve_fused(
                 stores=float(scanned_total),
                 kernels=1,
             )
+    d_sel = arena.take((m,), bool)
+    np.greater_equal(flat_keys, t_loosest, out=d_sel)
+    d_keys = flat_keys[d_sel]
+    d_idx = flat_indices[d_sel]
+    d_crit = crit[flat_sub_ids[d_sel]]
     mark = _stage(outcome.stage_ms, "gather_ms", mark)
 
-    extra_ge = arena.take((m,), bool)
-    extra_lt = arena.take((m,), bool)
-    flat_idx_cache: Optional[np.ndarray] = None
+    u_take = arena.take((0 if u_keys is None else u_keys.shape[0],), bool)
+    u_tmp = arena.take(u_take.shape, bool)
+    d_take = arena.take(d_keys.shape, bool)
+    d_tmp = arena.take(d_keys.shape, bool)
 
     for i in servable:
         k = int(ks[i])
@@ -478,42 +489,41 @@ def _serve_fused(
                 if trace_q is not None and q_trace is not None:
                     trace_q.extend([_collapse_steps("first_topk", q_trace)])
                 outcome.selection_calls += 1
-            if flat_idx_cache is None:
-                flat_idx_cache = flat_indices
-            original_idx = flat_idx_cache[idx_first]
+            original_idx = flat_indices[idx_first]
             stats.second_topk_skipped = True
             stats.concatenated_size = 0
             _finish_query(outcome, i, v, original_idx, k, plan, stats, trace_q, cfg)
             mark = _stage(outcome.stage_ms, "refine_ms", mark)
             continue
 
-        # -- per-query refinement of the shared gather -----------------------
+        # -- per-query refinement of the pre-filtered union ------------------
+        # Masking the union at t keeps exactly what masking the whole block
+        # and delegate vector at t keeps, in the same order, so the
+        # concatenation is byte-identical to the per-query pipeline's.
         mark = time.perf_counter()
         pieces_keys: List[np.ndarray] = []
         pieces_idx: List[np.ndarray] = []
         scanned_elements = 0
         copied_scanned = 0
         if any_scanned:
-            assert block is not None and real is not None and keep is not None
-            assert positions is not None and real_per_row is not None
+            assert real_per_row is not None and row_mask is not None
+            assert u_keys is not None and u_pos is not None and u_crit is not None
             scanned_elements = int(real_per_row[row_mask].sum())
+            np.greater_equal(u_crit, t, out=u_take)
             if cfg.use_filtering:
-                np.greater_equal(block, t, out=keep)
-                np.logical_and(keep, real, out=keep)
-            else:
-                np.copyto(keep, real)
-            np.logical_and(keep, row_mask[:, None], out=keep)
-            pieces_keys.append(block[keep])
-            pieces_idx.append(positions[keep])
+                np.greater_equal(u_keys, t, out=u_tmp)
+                np.logical_and(u_take, u_tmp, out=u_take)
+            pieces_keys.append(u_keys[u_take])
+            pieces_idx.append(u_pos[u_take])
             copied_scanned = int(pieces_keys[0].shape[0])
         stats.filtered_out = scanned_elements - copied_scanned
 
-        np.greater_equal(flat_keys, t, out=extra_ge)
-        np.less(crit_of_delegate, t, out=extra_lt)
-        np.logical_and(extra_ge, extra_lt, out=extra_ge)
-        if bool(extra_ge.any()):
-            pieces_keys.append(flat_keys[extra_ge])
-            pieces_idx.append(flat_indices[extra_ge])
+        np.greater_equal(d_keys, t, out=d_take)
+        np.less(d_crit, t, out=d_tmp)
+        np.logical_and(d_take, d_tmp, out=d_take)
+        if bool(d_take.any()):
+            pieces_keys.append(d_keys[d_take])
+            pieces_idx.append(d_idx[d_take])
 
         if pieces_keys:
             # Pure per-query temporaries (everything escaping below is a

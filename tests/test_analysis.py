@@ -1,5 +1,6 @@
 """Tests for the Section 5.2 theory: cost equations, convexity, Rule 4, speedups."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,8 @@ from repro.analysis.theory import (
     t_first_k,
     t_second_k,
 )
+from repro.core.config import DrTopKConfig
+from repro.core.drtopk import DrTopK
 from repro.datasets.synthetic import uniform_distribution
 from repro.errors import ConfigurationError
 
@@ -124,6 +127,56 @@ class TestRule4:
 
     def test_convexity_helper_small_input(self):
         assert is_convex_in_alpha({1: 1.0, 2: 5.0})
+
+
+def _numpy_optimal_alpha(n, k, const):
+    """Rule 4 written with numpy scalar ops (the reference for the int form)."""
+    raw = 0.5 * (np.log2(n) - np.log2(k) + const)
+    hi = int(np.floor(np.log2(n)))
+    return int(np.clip(int(round(raw)), 0, hi))
+
+
+def _numpy_resolved_alpha(n, k, beta, const):
+    """DrTopK's Rule-4 alpha clipped to [ceil(log2 beta), floor(log2 n)], in numpy."""
+    alpha = _numpy_optimal_alpha(n, k, const)
+    max_alpha = max(int(np.floor(np.log2(n))), 0)
+    min_alpha = max(int(np.ceil(np.log2(max(beta, 1)))), 0)
+    return int(np.clip(alpha, min_alpha, max_alpha))
+
+
+def _sweep_sizes():
+    """Powers of two, their neighbours, and a few odd sizes up to 2^40."""
+    sizes = {1, 2, 3, 5, 7, 100, 1000, 12345, 999_999}
+    for e in range(1, 41, 3):
+        sizes.update({(1 << e) - 1, 1 << e, (1 << e) + 1})
+    return sorted(sizes)
+
+
+class TestRule4IntegerArithmetic:
+    """The math/int Rule-4 path equals the numpy-scalar formula it replaced."""
+
+    CONSTS = (0.0, 1.0, 2.5, 3.0, rule4_const())
+
+    def test_optimal_alpha_sweep(self):
+        for n in _sweep_sizes():
+            ks = {1, 2, 3, n // 3, n // 2, n} | {1 << e for e in range(0, n.bit_length(), 2)}
+            for k in sorted(k for k in ks if 1 <= k <= n):
+                for const in self.CONSTS:
+                    want = _numpy_optimal_alpha(n, k, const)
+                    assert optimal_alpha(n, k, const=const) == want, (n, k, const)
+
+    def test_resolve_alpha_sweep(self):
+        engines = {
+            (beta, const): DrTopK(DrTopKConfig(beta=beta, rule4_const=const))
+            for beta in (1, 2, 3, 4, 5, 8, 9, 64, 100)
+            for const in self.CONSTS
+        }
+        for n in _sweep_sizes():
+            for k in sorted(k for k in {1, 7, n // 4, n} if 1 <= k <= n):
+                for (beta, const), engine in engines.items():
+                    got = engine._resolve_alpha(n, k)
+                    assert type(got) is int
+                    assert got == _numpy_resolved_alpha(n, k, beta, const), (n, k, beta, const)
 
 
 class TestSpeedupHelpers:
