@@ -12,10 +12,7 @@ really dispatches).  The gates are the fused path's reason to exist:
   scratch-arena **hit** (the gather/filter temporaries are pooled reuses,
   not fresh allocations);
 * every row answers element-wise **identically** (values *and* indices) to
-  the stand-alone engine; and
-* the **process-mode** row round-trips the same queries over the sharded
-  route with every shard gathered from a shared-memory view — the admitted
-  vector crosses the process boundary once, at admission, never pickled.
+  the stand-alone engine.
 
 Wall-clock is recorded but not gated — the counter columns are
 deterministic; milliseconds are host-dependent.
@@ -41,8 +38,8 @@ def test_hotfuse(benchmark, record_rows):
     )
     by = {(r["mode"], r["phase"]): r for r in rows}
 
-    # Every row — both modes, both phases, and the process round-trip —
-    # certified element-wise against the stand-alone engine.
+    # Every row — both modes, both phases — certified element-wise against
+    # the stand-alone engine.
     for key, r in by.items():
         assert r["identical"], f"{key}: results diverged from the engine reference"
 
@@ -83,10 +80,3 @@ def test_hotfuse(benchmark, record_rows):
         + fused_warm["stage_fallback_ms"]
         > 0.0
     ), "fused dispatch recorded no per-stage wall-clock"
-
-    # Process mode: the sharded round-trip gathered every shard from shared
-    # memory (no pickled vector copies, no thread fallback).
-    process = by[("process", "sharded")]
-    assert process["shared_memory_units"] > 0
-    assert process["process_units"] > 0
-    assert process["process_fallbacks"] == 0

@@ -97,9 +97,6 @@ class ShardBatchOutcome:
     fused_groups: int = 0
     #: Queries this GPU served through the fused path (across its groups).
     fused_queries: int = 0
-    #: True when the unit ran in a worker process reading the admitted vector
-    #: through a shared-memory view instead of a pickled copy.
-    via_shared_memory: bool = False
 
 
 @dataclass
@@ -131,9 +128,6 @@ class MultiGpuBatchReport:
     #: Query-shard fused servings summed over the fleet (a query served
     #: fused on every one of ``G`` GPUs counts ``G`` times).
     fused_queries: int = 0
-    #: Shard units that gathered through a shared-memory view of the admitted
-    #: vector (process executor mode) instead of a pickled copy.
-    shared_memory_units: int = 0
     per_gpu: List[ShardBatchOutcome] = field(default_factory=list)
 
     @property
@@ -319,7 +313,6 @@ class MultiGpuDrTopK:
         executor: Optional["ServiceExecutor"] = None,
         plan_bank: Optional["PlanBank"] = None,
         shard_fingerprints: Optional[dict] = None,
-        shared_ref=None,
     ):
         """Answer a batch of queries over one sharded vector with plan reuse.
 
@@ -356,15 +349,6 @@ class MultiGpuDrTopK:
             admission by the named-vector store; shards found in it skip
             the per-dispatch :func:`~repro.service.cache.fingerprint_array`
             call (named warm queries must do zero fingerprint work).
-        shared_ref:
-            Optional :class:`~repro.service.sharedmem.SharedArrayRef` to a
-            shared-memory copy of ``v`` created at admission.  With a
-            process-mode executor each shard unit then carries a picklable
-            task that attaches the shared block in the worker process and
-            gathers without the vector ever crossing a pipe; without it (or
-            on a thread/sequential executor) the closure path runs unchanged.
-            Worker processes see no shared plan bank or partition cache, so
-            process-mode shard units always construct locally.
 
         Returns
         -------
@@ -389,29 +373,15 @@ class MultiGpuDrTopK:
         self.last_plan = plan
 
         def shard_fn(gpu: int):
-            return lambda: self._run_shard_batch(
-                v, parsed, plan, gpu, cache, plan_bank, shard_fingerprints
+            return lambda: _shard_batch_worker(
+                self.config, v, parsed, plan, gpu, cache, plan_bank, shard_fingerprints, self.fused
             )
 
         if executor is not None:
-            from repro.service.executor import ProcessTask, WorkUnit  # runtime import, see above
-
-            def shard_task(gpu: int) -> Optional[ProcessTask]:
-                if shared_ref is None:
-                    return None
-                return ProcessTask(
-                    fn=_shard_batch_process_task,
-                    args=(shared_ref, parsed, plan, gpu, self.config, self.fused),
-                )
+            from repro.service.executor import WorkUnit  # runtime import, see above
 
             units = [
-                WorkUnit(
-                    fn=shard_fn(gpu),
-                    worker=gpu,
-                    route="sharded",
-                    label=f"gpu{gpu}",
-                    task=shard_task(gpu),
-                )
+                WorkUnit(fn=shard_fn(gpu), worker=gpu, route="sharded", label=f"gpu{gpu}")
                 for gpu in range(self.num_gpus)
             ]
             outcomes = []
@@ -424,21 +394,6 @@ class MultiGpuDrTopK:
         results = self._merge_batch(v, parsed, outcomes, report)
         self.last_batch_report = report
         return results, report
-
-    def _run_shard_batch(
-        self,
-        v: np.ndarray,
-        parsed: List,
-        plan: PartitionPlan,
-        gpu: int,
-        cache: Optional["PartitionCache"],
-        plan_bank: Optional["PlanBank"] = None,
-        shard_fingerprints: Optional[dict] = None,
-    ) -> ShardBatchOutcome:
-        """One GPU's work unit: grouped local top-k over its assigned shards."""
-        return _shard_batch_worker(
-            self.config, v, parsed, plan, gpu, cache, plan_bank, shard_fingerprints, self.fused
-        )
 
     def _merge_batch(
         self,
@@ -497,12 +452,11 @@ class MultiGpuDrTopK:
         report.selection_calls = sum(o.selection_calls for o in outcomes)
         report.fused_groups = sum(o.fused_groups for o in outcomes)
         report.fused_queries = sum(o.fused_queries for o in outcomes)
-        report.shared_memory_units = sum(1 for o in outcomes if o.via_shared_memory)
         report.per_gpu = list(outcomes)
         return results
 
 
-# -- shard workers (shared by in-process units and the process executor) ----------
+# -- shard worker -------------------------------------------------------------------
 
 
 def _shard_batch_worker(
@@ -516,12 +470,7 @@ def _shard_batch_worker(
     shard_fingerprints: Optional[dict],
     fused: bool,
 ) -> ShardBatchOutcome:
-    """Grouped local top-k over one GPU's assigned shards.
-
-    Module-level (not a method) so the process executor can run it inside a
-    worker process against a shared-memory view of ``v``; the in-process
-    thread path calls it with the dispatcher's shared cache and plan bank.
-    """
+    """One GPU's work unit: grouped local top-k over its assigned shards."""
     from repro.service.batch import group_queries_by_plan  # runtime import: service builds on this module
     from repro.service.cache import fingerprint_array  # runtime import, see above
     from repro.service.fusion import fused_group_topk  # runtime import, see above
@@ -626,31 +575,12 @@ def _shard_batch_worker(
     for pos in range(len(parsed)):
         if vals[pos]:
             # np.concatenate always copies, so the outcome never aliases a
-            # shard view of ``v`` (or of a shared-memory block).
+            # shard view of ``v``.
             out.values.append(np.concatenate(vals[pos]))
             out.indices.append(np.concatenate(idxs[pos]))
         else:
             out.values.append(np.empty(0, dtype=v.dtype))
             out.indices.append(np.empty(0, dtype=np.int64))
-    return out
-
-
-def _shard_batch_process_task(
-    shared_ref, parsed: List, plan: PartitionPlan, gpu: int, config: DrTopKConfig, fused: bool
-) -> ShardBatchOutcome:
-    """Process-executor entry point for one GPU's shard work.
-
-    Attaches the admitted vector's shared-memory block in the worker process
-    — the vector itself never crosses the process boundary — and runs the
-    same shard worker the thread path uses.  Worker processes see no shared
-    plan bank or partition cache (cross-process bank sharing is out of
-    scope), so accounting shows local constructions instead of bank hits.
-    """
-    from repro.service.sharedmem import attached  # runtime import, see above
-
-    with attached(shared_ref) as v:
-        out = _shard_batch_worker(config, v, parsed, plan, gpu, None, None, None, fused)
-    out.via_shared_memory = True
     return out
 
 

@@ -1499,15 +1499,8 @@ def hotfuse(
     deltas; warm fused dispatches must *hit*), the per-stage wall-clocks the
     fusion path measures (``stage_*_ms``, the lightweight profile hook), and
     ``identical`` — every row's answers certified element-wise (values
-    *and* indices) against the stand-alone engine.
-
-    A final ``process`` row round-trips the same queries through the
-    sharded route under ``execution="process"``: the admitted vector
-    crosses the process boundary once, into a shared-memory segment
-    (``shared_memory_units`` shards gathered without pickling the vector),
-    and ``identical`` certifies against a thread-mode dispatcher.  No
-    wall-clock column is gated — walls are host-dependent; the counter
-    columns are deterministic.
+    *and* indices) against the stand-alone engine.  No wall-clock column is
+    gated — walls are host-dependent; the counter columns are deterministic.
     """
     import time
 
@@ -1545,9 +1538,6 @@ def hotfuse(
             "plan_bank_hits": report.plan_bank_hits,
             "arena_hits": report.arena_hits,
             "arena_misses": report.arena_misses,
-            "process_units": report.process_units,
-            "process_fallbacks": report.process_fallbacks,
-            "shared_memory_units": report.shared_memory_units,
             "wall_ms": wall_ms,
             "identical": identical,
         }
@@ -1579,30 +1569,6 @@ def hotfuse(
             assert warm is not None and warm_results is not None
             row(mode, "warm", warm, warm_wall, certify(warm_results))
 
-    # Process-mode sharding: same queries, vector admitted once into shared
-    # memory, every shard gathered by a worker process.
-    with ServiceDispatcher(
-        num_workers=2, capacity_elements=n // 2, result_cache_capacity=0
-    ) as threads:
-        threads.admit("vec", v.copy())
-        want = threads.query("vec", queries)
-    with ServiceDispatcher(
-        num_workers=2,
-        capacity_elements=n // 2,
-        result_cache_capacity=0,
-        execution="process",
-    ) as d:
-        d.admit("vec", v.copy())
-        start = time.perf_counter()
-        got = d.query("vec", queries)
-        wall = (time.perf_counter() - start) * 1e3
-        report = d.last_report
-        assert report is not None and report.route == "sharded"
-        identical = all(
-            np.array_equal(a.values, b.values) and np.array_equal(a.indices, b.indices)
-            for a, b in zip(want, got)
-        )
-        row("process", "sharded", report, wall, identical)
     return rows
 
 

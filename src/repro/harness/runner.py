@@ -56,7 +56,7 @@ _EXPERIMENTS: Dict[str, Tuple[Callable[..., List[dict]], str]] = {
     ),
     "hotfuse": (
         experiments.hotfuse,
-        "fused vs per-query group selection, cold and warm, plus process-mode sharding",
+        "fused vs per-query group selection, cold and warm",
     ),
     "loadgen": (
         experiments.loadgen_slo,

@@ -45,9 +45,7 @@ caching instead of owning private loops:
   dispatch re-hashes and re-scans nothing.
 * :class:`~repro.service.executor.ServiceExecutor` /
   :class:`~repro.service.router.Router` — the execution core itself, usable
-  directly by new routes.  ``mode="process"`` runs picklable work units on
-  a process pool, reading admitted vectors through
-  :mod:`repro.service.sharedmem` views instead of pickled copies.
+  directly by new routes.
 * :mod:`~repro.service.fusion` — fused group execution: all queries of one
   plan-sharing group are served by **one** shared first top-k at the
   group's ``max(k)`` plus one shared gather/filter, with per-query answers
@@ -97,7 +95,6 @@ from repro.service.cache import (
 )
 from repro.service.executor import (
     ExecutorReport,
-    ProcessTask,
     ServiceExecutor,
     UnitResult,
     WorkUnit,
@@ -133,7 +130,6 @@ from repro.service.tenancy import (
     WeightedFairQueue,
 )
 from repro.service.router import BatchedPlan, GroupShare, Router, tune_min_split_work
-from repro.service.sharedmem import SharedArray, SharedArrayRef, attached
 from repro.service.spill import SpillDirectory, SpillEntry, SpillInfo
 from repro.service.store import StoredVector, VectorStore
 from repro.service.dispatcher import (
@@ -185,7 +181,6 @@ __all__ = [
     "ExecutorReport",
     "WorkUnit",
     "UnitResult",
-    "ProcessTask",
     "Router",
     "BatchedPlan",
     "GroupShare",
@@ -197,9 +192,6 @@ __all__ = [
     "thread_arena",
     "arena_info",
     "reset_arenas",
-    "SharedArray",
-    "SharedArrayRef",
-    "attached",
     "LoadHarness",
     "LoadReport",
     "LoadSample",

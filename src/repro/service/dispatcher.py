@@ -95,7 +95,6 @@ from repro.service.router import (
     DEFAULT_SPLIT_THRESHOLD,
     Router,
 )
-from repro.service.sharedmem import SharedArray
 from repro.service.spill import SpillDirectory
 from repro.service.store import (
     DEFAULT_PROMOTE_AFTER,
@@ -200,12 +199,6 @@ class DispatchReport:
     arena_misses: int = 0
     arena_resizes: int = 0
     arena: Optional[ArenaInfo] = None
-    #: Process-executor accounting: units that actually ran in worker
-    #: processes, runs that fell back to threads for lack of a picklable
-    #: task, and shard units that gathered from shared memory.
-    process_units: int = 0
-    process_fallbacks: int = 0
-    shared_memory_units: int = 0
     wall_ms: float = 0.0
     unit_wall_ms_sum: float = 0.0
     #: Measured submit-to-start queue waits of this dispatch's work units —
@@ -321,11 +314,7 @@ class ServiceDispatcher:
         Interconnect topology and cost model for the result gather.
     execution:
         ``"threads"`` (default) overlaps work units on the executor's pool;
-        ``"sequential"`` runs them inline — the measured baseline;
-        ``"process"`` runs picklable units on a process pool, gathering
-        admitted vectors through ``multiprocessing.shared_memory`` views
-        (see :meth:`admit`) — units without a picklable task fall back to
-        threads for that run, recorded as ``process_fallbacks``.
+        ``"sequential"`` runs them inline — the measured baseline.
     queue_capacity:
         Bound on in-flight work units (backpressure); defaults to
         ``2 * num_workers``.
@@ -476,10 +465,6 @@ class ServiceDispatcher:
             min_split_work=min_split_work,
             snap_tolerance=snap_tolerance,
         )
-        # Shared-memory copies of admitted sharded vectors (process mode),
-        # keyed by content fingerprint; owned here, destroyed on evict or
-        # shutdown.
-        self._shared: Dict[str, SharedArray] = {}
         self.last_report: Optional[DispatchReport] = None
 
     # -- public API -----------------------------------------------------------
@@ -565,9 +550,7 @@ class ServiceDispatcher:
             sub_parsed = [parsed[p] for p in pending]
             with self.executor.tenant_context(tenant):
                 if route == "sharded":
-                    sub_results = self._dispatch_sharded(
-                        v, sub_parsed, report, shard_fingerprints, fingerprint
-                    )
+                    sub_results = self._dispatch_sharded(v, sub_parsed, report, shard_fingerprints)
                 else:
                     sub_results = self._dispatch_batched(
                         v, sub_parsed, report, fingerprint
@@ -651,15 +634,6 @@ class ServiceDispatcher:
             entry = self.store.admit(
                 name, vector, shard_fingerprints=shard_fps, pin=pin, tenant=tenant
             )
-        # Process mode: give sharded dispatches of this vector a
-        # shared-memory copy (the one copy), so every shard unit's process
-        # task gathers from shared pages instead of pickling the vector.
-        if (
-            self.executor.mode == "process"
-            and entry.shard_fingerprints is not None
-            and entry.fingerprint not in self._shared
-        ):
-            self._shared[entry.fingerprint] = SharedArray.create(entry.vector)
         if warm:
             if warm_mode == "prepare":
                 self._warm_prepare(entry, [TopKQuery.of(q) for q in warm])
@@ -852,9 +826,6 @@ class ServiceDispatcher:
             if self.results_cache is not None:
                 self.results_cache.invalidate(fp)
             self.router.forget(fp)
-            shared = self._shared.pop(fp, None)
-            if shared is not None:
-                shared.destroy()
 
     # -- spill tier: admission warming and warm restart ------------------------
     def _warm_prepare(
@@ -1116,16 +1087,12 @@ class ServiceDispatcher:
         return self._spill
 
     def shutdown(self) -> None:
-        """Stop the executor's workers and release shared-memory segments.
+        """Stop the executor's worker threads.
 
-        The dispatcher stays usable afterwards (pools re-spawn on demand);
-        admitted vectors keep serving, but a process-mode sharded dispatch
-        after shutdown re-pickles until the vector is re-admitted.
+        The dispatcher stays usable afterwards: the pool re-spawns on demand
+        and admitted vectors keep serving.
         """
         self.executor.shutdown()
-        for shared in self._shared.values():
-            shared.destroy()
-        self._shared.clear()
 
     def __enter__(self) -> "ServiceDispatcher":
         return self
@@ -1148,12 +1115,8 @@ class ServiceDispatcher:
             report.unit_queue_ms_sum = exec_report.unit_queue_ms_sum
             report.max_unit_queue_ms = exec_report.max_unit_queue_ms
             report.backpressure_waits = exec_report.backpressure_waits
-            report.process_units = exec_report.process_units
-            report.process_fallbacks = exec_report.process_fallbacks
         report.arena = arena_after = arena_info()
         if arena_before is not None:
-            # Deltas cover this process's arenas only — process-mode workers
-            # pool in their own address spaces, invisible to this snapshot.
             report.arena_hits = arena_after.hits - arena_before.hits
             report.arena_misses = arena_after.misses - arena_before.misses
             report.arena_resizes = arena_after.resizes - arena_before.resizes
@@ -1257,7 +1220,6 @@ class ServiceDispatcher:
         parsed: List[TopKQuery],
         report: DispatchReport,
         shard_fingerprints: Optional[Dict[Tuple[int, int], str]] = None,
-        fingerprint: Optional[str] = None,
     ) -> List[TopKResult]:
         report.route = "sharded"
         fleet = MultiGpuDrTopK(
@@ -1268,10 +1230,6 @@ class ServiceDispatcher:
             comm_cost=self.comm_cost,
             fused=self.fused,
         )
-        # An admitted vector with a shared-memory copy (process mode) hands
-        # the fleet its picklable ref, so shard units carry process tasks
-        # that gather without the vector crossing a pipe.
-        shared = self._shared.get(fingerprint) if fingerprint is not None else None
         results, mreport = fleet.topk_batch(
             v,
             parsed,
@@ -1279,7 +1237,6 @@ class ServiceDispatcher:
             executor=self.executor,
             plan_bank=self.plan_bank,
             shard_fingerprints=shard_fingerprints,
-            shared_ref=shared.ref if shared is not None else None,
         )
         report.communication_ms = mreport.communication_ms
         report.constructions = mreport.constructions
@@ -1288,7 +1245,6 @@ class ServiceDispatcher:
         report.selection_calls += mreport.selection_calls
         report.fused_groups += mreport.fused_groups
         report.fused_queries += mreport.fused_queries
-        report.shared_memory_units = mreport.shared_memory_units
         # A sharded dispatch moves real traffic: the per-shard pipeline bytes
         # (construction + query passes) plus the candidate gather.
         report.bytes_moved = (

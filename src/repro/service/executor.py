@@ -19,16 +19,6 @@ Every run measures real wall-clock time per unit and end to end, so the
 runs the same units in submission order on the calling thread — the baseline
 the overlap is measured against, and a determinism escape hatch for tests.
 
-``mode="process"`` runs units on a ``ProcessPoolExecutor`` instead, escaping
-the GIL for the pure-Python stages threads cannot overlap.  A process cannot
-run a closure over live service state, so a unit opts in by carrying a
-:class:`ProcessTask` — a module-level function plus picklable arguments
-(typically a :class:`~repro.service.sharedmem.SharedArrayRef` instead of the
-vector itself, so admitted arrays never cross the pipe).  A run whose units
-lack tasks, or whose tasks fail to pickle, **falls back to threads** for the
-whole run (recorded as ``process_fallbacks`` on the report) — process mode
-degrades, never errors, on unpicklable work.
-
 With a :class:`~repro.service.tenancy.TenantRegistry` attached, the threads
 path replaces strict FIFO submission with **weighted deficit-round-robin**
 over per-tenant queues: every concurrent :meth:`ServiceExecutor.run` pushes
@@ -41,10 +31,9 @@ Without a registry the original per-run FIFO path runs unchanged.
 
 from __future__ import annotations
 
-import pickle
 import threading
 import time
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
@@ -54,46 +43,13 @@ from repro.service.tenancy import DEFAULT_TENANT, TenantRegistry, WeightedFairQu
 
 __all__ = [
     "WorkUnit",
-    "ProcessTask",
     "UnitResult",
     "ExecutorReport",
     "ServiceExecutor",
 ]
 
 #: Supported execution modes.
-EXECUTION_MODES = ("threads", "sequential", "process")
-
-
-@dataclass
-class ProcessTask:
-    """Picklable description of a unit's work for the process executor.
-
-    ``fn`` must be a module-level function (closures and bound methods do not
-    pickle); ``args``/``kwargs`` must themselves pickle cheaply — pass
-    :class:`~repro.service.sharedmem.SharedArrayRef` handles, never the
-    admitted arrays.
-    """
-
-    fn: Callable[..., Any]
-    args: Tuple = ()
-    kwargs: Dict[str, Any] = field(default_factory=dict)
-
-    def picklable(self) -> bool:
-        """Whether the task can actually cross a process boundary."""
-        try:
-            pickle.dumps((self.fn, self.args, self.kwargs))
-            return True
-        except Exception:  # noqa: BLE001 - any pickling failure means fallback
-            return False
-
-
-def _run_process_task(
-    fn: Callable[..., Any], args: Tuple, kwargs: Dict[str, Any]
-) -> Tuple[Any, float]:
-    """Child-process wrapper: run the task and measure its in-worker wall time."""
-    t0 = time.perf_counter()
-    value = fn(*args, **kwargs)
-    return value, (time.perf_counter() - t0) * 1e3
+EXECUTION_MODES = ("threads", "sequential")
 
 
 @dataclass
@@ -121,11 +77,6 @@ class WorkUnit:
         was split.  Units must stay independently submittable regardless of
         provenance: a share never implies an execution-order dependency on
         its sibling splits.
-    task:
-        Optional :class:`ProcessTask` equivalent of ``fn`` for the process
-        executor mode.  ``fn`` stays the source of truth for thread and
-        sequential modes; a unit without a task forces a process-mode run to
-        fall back to threads.
     """
 
     fn: Callable[[], Any]
@@ -133,7 +84,6 @@ class WorkUnit:
     route: str = ""
     label: str = ""
     shares: tuple = ()
-    task: Optional[ProcessTask] = None
 
 
 @dataclass
@@ -189,11 +139,6 @@ class ExecutorReport:
     max_unit_queue_ms: float = 0.0
     max_in_flight: int = 0
     backpressure_waits: int = 0
-    #: Units actually executed in worker processes this run.
-    process_units: int = 0
-    #: Process-mode runs that had to fall back to threads because at least
-    #: one unit carried no picklable :class:`ProcessTask`.
-    process_fallbacks: int = 0
 
     @property
     def overlap_factor(self) -> float:
@@ -223,7 +168,7 @@ class ServiceExecutor:
         the threads path schedules by weighted deficit-round-robin across
         every concurrent ``run`` (see the module docstring) and the bounded
         in-flight capacity is shared executor-wide instead of per run.
-        Sequential and process modes keep their submission-order semantics.
+        Sequential mode keeps its submission-order semantics.
     """
 
     def __init__(
@@ -249,7 +194,6 @@ class ServiceExecutor:
         self.tenants = tenants
         self.last_report: Optional[ExecutorReport] = None
         self._pool: Optional[ThreadPoolExecutor] = None
-        self._process_pool: Optional[ProcessPoolExecutor] = None
         self._lock = threading.Lock()
         self._in_flight = 0
         self._tls = threading.local()
@@ -327,19 +271,11 @@ class ServiceExecutor:
             )
         return self._pool
 
-    def _ensure_process_pool(self) -> ProcessPoolExecutor:
-        if self._process_pool is None:
-            self._process_pool = ProcessPoolExecutor(max_workers=self.max_workers)
-        return self._process_pool
-
     def shutdown(self) -> None:
-        """Stop the worker threads/processes (the executor can be reused afterwards)."""
+        """Stop the worker threads (the executor can be reused afterwards)."""
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        if self._process_pool is not None:
-            self._process_pool.shutdown(wait=True)
-            self._process_pool = None
 
     def __enter__(self) -> "ServiceExecutor":
         return self
@@ -380,8 +316,6 @@ class ServiceExecutor:
         report = ExecutorReport(mode=self.mode)
         if self.mode == "sequential":
             results = self._run_sequential(units, report)
-        elif self.mode == "process":
-            results = self._run_processes(units, report, on_queue_full)
         elif self.tenants is not None:
             results = self._run_threads_fair(units, report, on_queue_full, tenant)
         else:
@@ -574,77 +508,6 @@ class ServiceExecutor:
                         self._tenant_queue_ms_sum.get(tenant, 0.0) + queued
                     )
                     self._tenant_units[tenant] = self._tenant_units.get(tenant, 0) + 1
-            if error is not None:
-                raise error
-        return results
-
-    def _run_processes(
-        self,
-        units: Iterable[WorkUnit],
-        report: ExecutorReport,
-        on_queue_full: Optional[Callable[[int], None]] = None,
-    ) -> List[UnitResult]:
-        """Run every unit's :class:`ProcessTask` on the process pool.
-
-        Process mode is all-or-nothing per run: results must stay in
-        submission order and a mixed thread/process run would let a closure
-        observe state a process-side sibling is also producing.  If any unit
-        lacks a task — or a task fails to pickle — the whole run falls back
-        to :meth:`_run_threads` and ``process_fallbacks`` records it.
-        """
-        unit_list = list(units)
-        if not all(u.task is not None and u.task.picklable() for u in unit_list):
-            report.process_fallbacks += 1
-            return self._run_threads(unit_list, report, on_queue_full)
-
-        pool = self._ensure_process_pool()
-        slots = threading.Semaphore(self.queue_capacity)
-        done_at: Dict[int, float] = {}
-
-        def release(future: Future) -> None:
-            done_at[id(future)] = time.perf_counter()
-            with self._lock:
-                self._in_flight -= 1
-            slots.release()
-
-        submitted: List[tuple] = []
-        try:
-            for unit in unit_list:
-                if not slots.acquire(blocking=False):
-                    report.backpressure_waits += 1
-                    if on_queue_full is not None:
-                        on_queue_full(self.in_flight)
-                    slots.acquire()
-                with self._lock:
-                    self._in_flight += 1
-                    report.max_in_flight = max(report.max_in_flight, self._in_flight)
-                task = unit.task
-                assert task is not None
-                future = pool.submit(_run_process_task, task.fn, task.args, task.kwargs)
-                future.add_done_callback(release)
-                submitted.append((unit, future, time.perf_counter()))
-        finally:
-            results: List[UnitResult] = []
-            error: Optional[BaseException] = None
-            for unit, future, submitted_at in submitted:
-                try:
-                    value, child_wall = future.result()
-                except BaseException as exc:  # noqa: BLE001 - re-raised below
-                    if error is None:
-                        error = exc
-                    continue
-                # The child measures its own wall; everything else between
-                # submission and completion (pickling, pipe transit, waiting
-                # for a worker) is queue time from the parent's perspective.
-                finished = done_at.get(id(future), time.perf_counter())
-                queued = max((finished - submitted_at) * 1e3 - child_wall, 0.0)
-                results.append(
-                    UnitResult(unit=unit, value=value, wall_ms=child_wall, queue_ms=queued)
-                )
-                report.process_units += 1
-                report.unit_wall_ms_sum += child_wall
-                report.unit_queue_ms_sum += queued
-                report.max_unit_queue_ms = max(report.max_unit_queue_ms, queued)
             if error is not None:
                 raise error
         return results

@@ -17,12 +17,6 @@ the serving path needs to stay zero-rescan:
   sharded route banks plans per shard), precomputed so the sharded route
   never hashes either.
 
-The dispatcher layers one more admission-time artefact on top for the
-process executor mode: sharded entries get a
-:class:`~repro.service.sharedmem.SharedArray` copy whose lifetime follows
-this store's eviction cascade, so worker processes gather from shared pages
-instead of pickled vector copies.
-
 Eviction is LRU over resident bytes with pin/unpin: pinned entries are
 skipped by budget eviction (an explicit :meth:`evict` still removes them —
 an operator's explicit decision outranks the pin).  Every eviction fires the

@@ -236,6 +236,22 @@ class TestMultiGpuBatch:
         solo.topk(v, 64)
         assert report.reload_ms <= solo.last_report.reload_ms * 8
 
+    @pytest.mark.parametrize("mode", ["threads", "sequential"])
+    def test_batch_on_executor_matches_inline(self, rng, mode):
+        from repro.service.executor import ServiceExecutor
+
+        v = rng.standard_normal(1 << 15).astype(np.float32)
+        queries = [(64, True), (100, True), (32, False)]
+        fleet = MultiGpuDrTopK(num_gpus=2, capacity_elements=1 << 14)
+        base, _ = fleet.topk_batch(v, queries)
+        with ServiceExecutor(max_workers=2, mode=mode) as ex:
+            got, report = fleet.topk_batch(v, queries, executor=ex)
+            assert ex.last_report is not None and ex.last_report.units == 2
+        for a, b in zip(base, got):
+            np.testing.assert_array_equal(a.values, b.values)
+            np.testing.assert_array_equal(a.indices, b.indices)
+        assert [o.gpu for o in report.per_gpu] == [0, 1]
+
     def test_batch_with_empty_queries(self, rng):
         v = rng.integers(0, 2**32, size=1 << 10, dtype=np.uint32)
         fleet = MultiGpuDrTopK(num_gpus=2, capacity_elements=1 << 8)

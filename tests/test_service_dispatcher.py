@@ -264,6 +264,9 @@ def test_dispatcher_validation(uniform_u32):
         ServiceDispatcher(num_workers=0)
     with pytest.raises(ConfigurationError):
         ServiceDispatcher(capacity_elements=0)
+    for mode in ("fibers", "process"):
+        with pytest.raises(ConfigurationError):
+            ServiceDispatcher(execution=mode)
     dispatcher = ServiceDispatcher(num_workers=2)
     with pytest.raises(ConfigurationError):
         dispatcher.dispatch(uniform_u32, [(uniform_u32.shape[0] + 1, True)])

@@ -139,6 +139,8 @@ def test_validation():
         ServiceExecutor(queue_capacity=0)
     with pytest.raises(ConfigurationError):
         ServiceExecutor(mode="fibers")
+    with pytest.raises(ConfigurationError):
+        ServiceExecutor(mode="process")
 
 
 def test_unit_queue_wait_is_measured():
