@@ -1,175 +1,21 @@
-"""Process executor mode: shared-memory round-trips, fallbacks, lifecycle.
+"""Executor modes: only threads and sequential exist.
 
-Process mode must (a) answer exactly what thread mode answers, (b) move the
-admitted vector across the process boundary **once** — at admission, into a
-shared-memory segment whose picklable ref is dozens of bytes — and (c)
-degrade to threads, never error, when a run's units close over unpicklable
-state.
+Work units are closures over live service state, so they run on the calling
+process's thread pool or inline; any other mode name — ``"process"``
+included — is a configuration error raised at construction.
 """
 
 from __future__ import annotations
 
-import pickle
-
-import numpy as np
 import pytest
 
-from repro.distributed.multigpu import MultiGpuDrTopK
 from repro.errors import ConfigurationError
-from repro.service.batch import TopKQuery
-from repro.service.dispatcher import ServiceDispatcher
-from repro.service.executor import ProcessTask, ServiceExecutor, WorkUnit
-from repro.service.sharedmem import SharedArray, SharedArrayRef, attached
-
-
-class TestSharedArray:
-    def test_ref_is_tiny_and_picklable(self, rng):
-        v = rng.standard_normal(1 << 14).astype(np.float32)
-        shared = SharedArray.create(v)
-        try:
-            blob = pickle.dumps(shared.ref)
-            assert len(blob) < 512  # the handle, not the vector
-            assert shared.ref.nbytes == v.nbytes
-        finally:
-            shared.destroy()
-
-    def test_attached_view_sees_owner_content(self, rng):
-        v = rng.integers(0, 2**32, size=4096, dtype=np.uint32)
-        shared = SharedArray.create(v)
-        try:
-            with attached(shared.ref) as view:
-                np.testing.assert_array_equal(view, v)
-                assert not view.flags.writeable
-        finally:
-            shared.destroy()
-
-    def test_destroy_is_idempotent(self, rng):
-        shared = SharedArray.create(np.arange(16, dtype=np.int64))
-        shared.destroy()
-        shared.destroy()  # no error
-        with pytest.raises(FileNotFoundError):
-            with attached(SharedArrayRef(shared.ref.name, (16,), "<i8")):
-                pass
-
-    def test_empty_array_is_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SharedArray.create(np.empty(0, dtype=np.float32))
+from repro.service.executor import EXECUTION_MODES, ServiceExecutor
 
 
 class TestProcessExecutor:
-    def test_process_task_round_trip(self):
-        with ServiceExecutor(max_workers=2, mode="process") as ex:
-            units = [
-                WorkUnit(fn=lambda: None, task=ProcessTask(fn=divmod, args=(17, 5)))
-                for _ in range(4)
-            ]
-            results = ex.run(units)
-            assert [r.value for r in results] == [(3, 2)] * 4
-            assert ex.last_report is not None
-            assert ex.last_report.process_units == 4
-            assert ex.last_report.process_fallbacks == 0
-
-    def test_unpicklable_unit_falls_back_to_threads(self):
-        state = {"x": 41}
-        with ServiceExecutor(max_workers=2, mode="process") as ex:
-            # A closure over live state carries no task: the whole run must
-            # fall back to threads and still answer.
-            results = ex.run([WorkUnit(fn=lambda: state["x"] + 1)])
-            assert results[0].value == 42
-            assert ex.last_report is not None
-            assert ex.last_report.process_fallbacks == 1
-            assert ex.last_report.process_units == 0
-
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ServiceExecutor(mode="fibers")
-
-    def test_worker_error_propagates(self):
-        with ServiceExecutor(max_workers=1, mode="process") as ex:
-            with pytest.raises(ZeroDivisionError):
-                ex.run(
-                    [WorkUnit(fn=lambda: None, task=ProcessTask(fn=divmod, args=(1, 0)))]
-                )
-
-
-class TestShardedProcessMode:
-    def test_fleet_round_trip_matches_sequential(self, rng):
-        v = rng.standard_normal(1 << 15).astype(np.float32)
-        queries = [TopKQuery(k=64), TopKQuery(k=100), TopKQuery(k=32, largest=False)]
-        fleet = MultiGpuDrTopK(num_gpus=2, capacity_elements=1 << 14)
-        base, _ = fleet.topk_batch(v, queries)
-        shared = SharedArray.create(v)
-        try:
-            with ServiceExecutor(max_workers=2, mode="process") as ex:
-                got, report = fleet.topk_batch(
-                    v, queries, executor=ex, shared_ref=shared.ref
-                )
-                for a, b in zip(base, got):
-                    np.testing.assert_array_equal(a.values, b.values)
-                    np.testing.assert_array_equal(a.indices, b.indices)
-                assert report.shared_memory_units == 2
-                assert ex.last_report is not None
-                assert ex.last_report.process_fallbacks == 0
-        finally:
-            shared.destroy()
-
-    def test_dispatcher_process_mode_equals_threads(self, rng):
-        n = 1 << 15
-        v = rng.integers(0, 2**32, size=n, dtype=np.uint32)
-        ks = [64, 100, 32]
-        with ServiceDispatcher(
-            num_workers=2, capacity_elements=n // 2, execution="process"
-        ) as dproc:
-            dproc.admit("vec", v)
-            got = dproc.query("vec", ks)
-            report = dproc.last_report
-            assert report is not None
-            assert report.route == "sharded"
-            assert report.shared_memory_units == 2
-            assert report.process_units == 2
-            assert report.process_fallbacks == 0
-        with ServiceDispatcher(num_workers=2, capacity_elements=n // 2) as dthr:
-            dthr.admit("vec", v)
-            want = dthr.query("vec", ks)
-        for a, b in zip(got, want):
-            np.testing.assert_array_equal(a.values, b.values)
-            np.testing.assert_array_equal(a.indices, b.indices)
-
-    def test_shared_segment_follows_eviction_and_shutdown(self, rng):
-        n = 1 << 15
-        v = rng.integers(0, 2**32, size=n, dtype=np.uint32)
-        d = ServiceDispatcher(
-            num_workers=2, capacity_elements=n // 2, execution="process"
-        )
-        try:
-            entry = d.admit("vec", v)
-            assert entry.fingerprint in d._shared
-            ref = d._shared[entry.fingerprint].ref
-            d.evict("vec")
-            assert entry.fingerprint not in d._shared
-            with pytest.raises(FileNotFoundError):
-                with attached(ref):
-                    pass
-            # Re-admit, then shutdown must release the segment too.
-            entry = d.admit("vec", v)
-            ref = d._shared[entry.fingerprint].ref
-        finally:
-            d.shutdown()
-        assert not d._shared
-        with pytest.raises(FileNotFoundError):
-            with attached(ref):
-                pass
-
-    def test_anonymous_process_dispatch_falls_back(self, rng):
-        """No admission means no shared segment: the run degrades to threads."""
-        n = 1 << 15
-        v = rng.integers(0, 2**32, size=n, dtype=np.uint32)
-        with ServiceDispatcher(
-            num_workers=2, capacity_elements=n // 2, execution="process"
-        ) as d:
-            results = d.dispatch(v, [(64, True)])
-            report = d.last_report
-            assert report is not None
-            assert report.process_fallbacks == 1
-            assert report.shared_memory_units == 0
-        assert len(results) == 1
+        assert EXECUTION_MODES == ("threads", "sequential")
+        for mode in ("fibers", "process"):
+            with pytest.raises(ConfigurationError):
+                ServiceExecutor(mode=mode)
