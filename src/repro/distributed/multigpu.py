@@ -381,7 +381,7 @@ class MultiGpuDrTopK:
             from repro.service.executor import WorkUnit  # runtime import, see above
 
             units = [
-                WorkUnit(fn=shard_fn(gpu), worker=gpu, route="sharded", label=f"gpu{gpu}")
+                WorkUnit(fn=shard_fn(gpu), worker=gpu, route="sharded")
                 for gpu in range(self.num_gpus)
             ]
             outcomes = []

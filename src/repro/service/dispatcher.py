@@ -356,8 +356,8 @@ class ServiceDispatcher:
         Optional :class:`~repro.service.tenancy.TenantRegistry` turning the
         serving core multi-tenant: the store partitions its working set into
         per-tenant byte ledgers (eviction victims only from the requesting
-        tenant's slice), the executor schedules by weighted
-        deficit-round-robin, :meth:`query` charges each tenant's QPS token
+        tenant's slice), the executor weights its deficit-round-robin
+        scheduler by tenant, :meth:`query` charges each tenant's QPS token
         bucket, and :meth:`evict`/:meth:`pin`/:meth:`unpin` enforce
         ownership for non-default tenants.  ``None`` (default) keeps the
         single-tenant behaviour bit-for-bit.

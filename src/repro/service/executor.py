@@ -9,9 +9,9 @@ is the one place work actually runs now.  Routes describe their work as
 set; the executor runs them on a ``concurrent.futures.ThreadPoolExecutor``
 (NumPy releases the GIL inside its kernels, so units genuinely overlap on
 multi-core hosts) behind a **bounded submission queue**: at most
-``queue_capacity`` units are in flight and further submissions block, which is
-the backpressure that lets the service layer absorb bursty traffic without
-unbounded memory growth.
+``queue_capacity`` units are in flight across every concurrent run and
+further submissions block, which is the backpressure that lets the service
+layer absorb bursty traffic without unbounded memory growth.
 
 Every run measures real wall-clock time per unit and end to end, so the
 ``async_service`` experiment can put *measured* overlap next to the modelled
@@ -19,14 +19,14 @@ Every run measures real wall-clock time per unit and end to end, so the
 runs the same units in submission order on the calling thread — the baseline
 the overlap is measured against, and a determinism escape hatch for tests.
 
-With a :class:`~repro.service.tenancy.TenantRegistry` attached, the threads
-path replaces strict FIFO submission with **weighted deficit-round-robin**
-over per-tenant queues: every concurrent :meth:`ServiceExecutor.run` pushes
-its units into one shared fair queue, the bounded in-flight capacity becomes
-executor-global, and each freed slot goes to the DRR-next unit across *all*
-tenants — a producer may submit another tenant's unit and wait for its own.
-Per-tenant queue-wait and in-flight probes measure the attained shares.
-Without a registry the original per-run FIFO path runs unchanged.
+Scheduling is **weighted deficit-round-robin** over per-tenant queues:
+every concurrent :meth:`ServiceExecutor.run` pushes its units into one
+shared fair queue, the bounded in-flight capacity is executor-wide, and each
+freed slot goes to the DRR-next unit across *all* tenants — a producer may
+submit another tenant's unit and wait for its own.  A
+:class:`~repro.service.tenancy.TenantRegistry` only sets the weights; without
+one every tenant weighs 1.0, and with a single tenant DRR pops in exact FIFO
+order.
 """
 
 from __future__ import annotations
@@ -67,8 +67,6 @@ class WorkUnit:
     route:
         The service route that emitted the unit (``batched`` / ``sharded`` /
         ``streaming``).
-    label:
-        Human-readable tag for reports and debugging.
     shares:
         Provenance of the plan-sharing groups this unit serves (the batched
         route's :class:`~repro.service.router.GroupShare` records).  Splits
@@ -82,7 +80,6 @@ class WorkUnit:
     fn: Callable[[], Any]
     worker: int = 0
     route: str = ""
-    label: str = ""
     shares: tuple = ()
 
 
@@ -94,11 +91,10 @@ class _FairItem:
     different tenant's ``run``); the owning producer waits on it before
     collecting ``future``.  ``pushed_at`` anchors queue-wait measurement to
     the moment the unit entered the fair queue, so DRR hold time is part of
-    the measured per-tenant wait.
+    the measured wait.
     """
 
     unit: WorkUnit
-    tenant: str
     pushed_at: float
     ready: threading.Event = field(default_factory=threading.Event)
     future: Optional[Future] = None
@@ -157,18 +153,18 @@ class ServiceExecutor:
         Thread-pool size; typically the dispatcher's fleet size so one unit
         per simulated worker can run at once.
     queue_capacity:
-        Maximum units in flight (submitted but not finished).  Submission of
-        further units blocks — backpressure — until a slot frees.  Defaults
-        to ``2 * max_workers`` so one wave can queue behind the running wave.
+        Maximum units in flight (submitted but not finished) across every
+        concurrent :meth:`run` on this executor.  Submission of further
+        units blocks — backpressure — until a slot frees.  Defaults to
+        ``2 * max_workers`` so one wave can queue behind the running wave.
     mode:
         ``"threads"`` (the default) runs units on the pool; ``"sequential"``
         runs them inline in submission order, for baselines and determinism.
     tenants:
-        Optional :class:`~repro.service.tenancy.TenantRegistry`.  When set,
-        the threads path schedules by weighted deficit-round-robin across
-        every concurrent ``run`` (see the module docstring) and the bounded
-        in-flight capacity is shared executor-wide instead of per run.
-        Sequential mode keeps its submission-order semantics.
+        Optional :class:`~repro.service.tenancy.TenantRegistry` supplying the
+        per-tenant weights of the deficit-round-robin scheduler (see the
+        module docstring); without one every tenant weighs 1.0.  Sequential
+        mode keeps its submission-order semantics.
     """
 
     def __init__(
@@ -197,53 +193,30 @@ class ServiceExecutor:
         self._lock = threading.Lock()
         self._in_flight = 0
         self._tls = threading.local()
-        # Fair-path state: the shared DRR queue under its own scheduler lock
-        # (never nested with self._lock), the executor-global slot semaphore,
-        # and cumulative per-tenant probes guarded by self._lock.
+        # The shared DRR queue under its own scheduler lock (never nested
+        # with self._lock), the executor-wide slot semaphore, and cumulative
+        # per-tenant counters guarded by self._lock.
         self._sched_lock = threading.Lock()
         self._fair: WeightedFairQueue[_FairItem] = WeightedFairQueue(self._weight_of)
-        self._shared_slots = threading.Semaphore(self.queue_capacity)
+        self._slots = threading.Semaphore(self.queue_capacity)
         self._tenant_in_flight: Dict[str, int] = {}
-        self._tenant_queue_ms_sum: Dict[str, float] = {}
         self._tenant_units: Dict[str, int] = {}
 
     def _weight_of(self, tenant: str) -> float:
         """Scheduling weight of one tenant (1.0 without a registry)."""
         return self.tenants.weight(tenant) if self.tenants is not None else 1.0
 
-    # -- saturation probes -------------------------------------------------------
-    @property
-    def in_flight(self) -> int:
-        """Units currently submitted but not finished (thread-safe snapshot)."""
-        with self._lock:
-            return self._in_flight
-
-    def saturated(self) -> bool:
-        """Whether submitting one more unit right now would block.
-
-        The non-blocking admission probe behind the service layer's
-        load-shedding policies: a producer that must never stall (an arrival
-        loop) checks this instead of paying the backpressure wait, and sheds
-        or degrades the request when the bounded queue is full.
-        """
-        return self.in_flight >= self.queue_capacity
-
+    # -- per-tenant probes -----------------------------------------------------
     def in_flight_for(self, tenant: str) -> int:
         """Units of one tenant currently submitted but not finished.
 
-        Only populated by the weighted-fair threads path; always 0 without a
-        tenant registry.
+        Always 0 in sequential mode, which runs units inline.
         """
         with self._lock:
             return self._tenant_in_flight.get(tenant, 0)
 
-    def tenant_queue_ms(self, tenant: str) -> float:
-        """Cumulative measured queue wait of one tenant's units (fair path)."""
-        with self._lock:
-            return self._tenant_queue_ms_sum.get(tenant, 0.0)
-
     def tenant_units(self, tenant: str) -> int:
-        """Cumulative units one tenant has completed through the fair path."""
+        """Cumulative units one tenant has completed on the thread pool."""
         with self._lock:
             return self._tenant_units.get(tenant, 0)
 
@@ -252,9 +225,9 @@ class ServiceExecutor:
         """Attribute every :meth:`run` on this thread to ``tenant``.
 
         The dispatcher wraps route execution in this so code that calls
-        ``executor.run(units)`` without a tenant argument (the multi-GPU
-        fleet, legacy routes) still schedules under the requesting tenant's
-        identity.  Thread-local, re-entrant, restores the previous identity.
+        ``executor.run(units)`` (the multi-GPU fleet, the routes) schedules
+        under the requesting tenant's identity.  Thread-local, re-entrant,
+        restores the previous identity.
         """
         previous = getattr(self._tls, "tenant", None)
         self._tls.tenant = tenant
@@ -284,42 +257,24 @@ class ServiceExecutor:
         self.shutdown()
 
     # -- execution -------------------------------------------------------------
-    def run(
-        self,
-        units: Iterable[WorkUnit],
-        on_queue_full: Optional[Callable[[int], None]] = None,
-        tenant: Optional[str] = None,
-    ) -> List[UnitResult]:
+    def run(self, units: Iterable[WorkUnit]) -> List[UnitResult]:
         """Execute every unit; results align with submission order.
 
         ``units`` may be a lazy iterable (the streaming route submits chunks
         as they arrive); the bounded queue then also bounds how far ahead of
         execution the producer can read.  A unit that raises propagates its
-        exception after the in-flight units drain.
-
-        ``on_queue_full`` (optional) is invoked with the current in-flight
-        count each time a submission finds the bounded queue full, *before*
-        the submission blocks on backpressure — the hook load-monitoring
-        callers use to observe saturation as it happens (admission decisions
-        that must not block belong in front of :meth:`run`, via
-        :meth:`saturated`).
-
-        ``tenant`` names the identity the run schedules under when a tenant
-        registry is configured; ``None`` falls back to the surrounding
-        :meth:`tenant_context`, then to the default tenant.  Without a
-        registry the argument is accepted and ignored (FIFO path).
+        exception after the in-flight units drain.  The run schedules under
+        the tenant of the surrounding :meth:`tenant_context`, else the
+        default tenant.
         """
-        if tenant is None:
-            context = getattr(self._tls, "tenant", None)
-            tenant = context if context is not None else DEFAULT_TENANT
         started = time.perf_counter()
         report = ExecutorReport(mode=self.mode)
         if self.mode == "sequential":
             results = self._run_sequential(units, report)
-        elif self.tenants is not None:
-            results = self._run_threads_fair(units, report, on_queue_full, tenant)
         else:
-            results = self._run_threads(units, report, on_queue_full)
+            context = getattr(self._tls, "tenant", None)
+            tenant = context if context is not None else DEFAULT_TENANT
+            results = self._run_threads(units, report, tenant)
         report.wall_ms = (time.perf_counter() - started) * 1e3
         report.units = len(results)
         self.last_report = report
@@ -339,75 +294,18 @@ class ServiceExecutor:
         return results
 
     def _run_threads(
-        self,
-        units: Iterable[WorkUnit],
-        report: ExecutorReport,
-        on_queue_full: Optional[Callable[[int], None]] = None,
+        self, units: Iterable[WorkUnit], report: ExecutorReport, tenant: str
     ) -> List[UnitResult]:
-        pool = self._ensure_pool()
-        slots = threading.Semaphore(self.queue_capacity)
-
-        def timed(unit: WorkUnit, submitted_at: float) -> Tuple[Any, float, float]:
-            t0 = time.perf_counter()
-            queued_ms = (t0 - submitted_at) * 1e3
-            value = unit.fn()
-            return value, (time.perf_counter() - t0) * 1e3, queued_ms
-
-        def release(_future: Future) -> None:
-            with self._lock:
-                self._in_flight -= 1
-            slots.release()
-
-        submitted: List[tuple] = []
-        try:
-            for unit in units:
-                if not slots.acquire(blocking=False):
-                    report.backpressure_waits += 1
-                    if on_queue_full is not None:
-                        on_queue_full(self.in_flight)
-                    slots.acquire()
-                with self._lock:
-                    self._in_flight += 1
-                    report.max_in_flight = max(report.max_in_flight, self._in_flight)
-                future = pool.submit(timed, unit, time.perf_counter())
-                future.add_done_callback(release)
-                submitted.append((unit, future))
-        finally:
-            results: List[UnitResult] = []
-            error: Optional[BaseException] = None
-            for unit, future in submitted:
-                try:
-                    value, wall, queued = future.result()
-                except BaseException as exc:  # noqa: BLE001 - re-raised below
-                    if error is None:
-                        error = exc
-                    continue
-                results.append(UnitResult(unit=unit, value=value, wall_ms=wall, queue_ms=queued))
-                report.unit_wall_ms_sum += wall
-                report.unit_queue_ms_sum += queued
-                report.max_unit_queue_ms = max(report.max_unit_queue_ms, queued)
-            if error is not None:
-                raise error
-        return results
-
-    def _run_threads_fair(
-        self,
-        units: Iterable[WorkUnit],
-        report: ExecutorReport,
-        on_queue_full: Optional[Callable[[int], None]],
-        tenant: str,
-    ) -> List[UnitResult]:
-        """Threads path under weighted deficit-round-robin (registry set).
+        """Threads path under weighted deficit-round-robin.
 
         Every producer pushes its units into the shared fair queue, then for
-        each pushed unit acquires one executor-global slot and submits the
+        each pushed unit acquires one executor-wide slot and submits the
         DRR-next item across *all* tenants — possibly another producer's.
         Each producer pops exactly as many items as it pushed (and only
         after pushing), so globally pops never exceed pushes and a pop never
         finds the queue empty.  Results still align with this run's own
         submission order; queue wait is measured from the moment a unit
-        entered the fair queue, so scheduler hold time is part of the
-        per-tenant wait the probes report.
+        entered the fair queue, so scheduler hold time is part of the wait.
         """
         pool = self._ensure_pool()
 
@@ -424,7 +322,7 @@ class ServiceExecutor:
                     self._tenant_in_flight[owner] = (
                         self._tenant_in_flight.get(owner, 1) - 1
                     )
-                self._shared_slots.release()
+                self._slots.release()
 
             return release
 
@@ -450,7 +348,7 @@ class ServiceExecutor:
         unpopped = 0  # our pushes not yet matched by one of our pops
         try:
             for unit in units:
-                item = _FairItem(unit=unit, tenant=tenant, pushed_at=time.perf_counter())
+                item = _FairItem(unit=unit, pushed_at=time.perf_counter())
                 with self._sched_lock:
                     self._fair.push(tenant, item)
                 mine.append(item)
@@ -459,11 +357,9 @@ class ServiceExecutor:
                 # producer's backlog must be visible to the DRR scheduler,
                 # otherwise slots would drain in semaphore-FIFO order and
                 # weights would never bite.
-                if not self._shared_slots.acquire(blocking=False):
+                if not self._slots.acquire(blocking=False):
                     report.backpressure_waits += 1
-                    if on_queue_full is not None:
-                        on_queue_full(self.in_flight)
-                    self._shared_slots.acquire()
+                    self._slots.acquire()
                 submit_next()
                 unpopped -= 1
         finally:
@@ -504,9 +400,6 @@ class ServiceExecutor:
                 report.unit_queue_ms_sum += queued
                 report.max_unit_queue_ms = max(report.max_unit_queue_ms, queued)
                 with self._lock:
-                    self._tenant_queue_ms_sum[tenant] = (
-                        self._tenant_queue_ms_sum.get(tenant, 0.0) + queued
-                    )
                     self._tenant_units[tenant] = self._tenant_units.get(tenant, 0) + 1
             if error is not None:
                 raise error

@@ -626,18 +626,12 @@ class Router:
         for w, positions in enumerate(plan.placement):
             if not positions:
                 continue
-            worker_shares = tuple(shares_by_worker.get(w, ()))
-            splits = sum(1 for s in worker_shares if s.split_total > 1)
-            label = f"worker{w}:{len(positions)}q"
-            if splits:
-                label += f":{splits}split"
             units.append(
                 WorkUnit(
                     fn=unit_fn(workers[w], positions),
                     worker=w,
                     route="batched",
-                    label=label,
-                    shares=worker_shares,
+                    shares=tuple(shares_by_worker.get(w, ())),
                 )
             )
         return units, plan
@@ -721,12 +715,10 @@ class Router:
                     piece = chunk[start : start + chunk_elements]
                     if not piece.shape[0]:
                         continue
-                    worker = index % self.num_workers
                     yield WorkUnit(
                         fn=chunk_fn(piece, offset),
-                        worker=worker,
+                        worker=index % self.num_workers,
                         route="streaming",
-                        label=f"chunk{index}@worker{worker}",
                     )
                     offset += piece.shape[0]
                     index += 1

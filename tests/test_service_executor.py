@@ -9,10 +9,11 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.service.executor import ServiceExecutor, WorkUnit
+from repro.service.tenancy import TenantRegistry
 
 
 def make_units(count, fn_for):
-    return [WorkUnit(fn=fn_for(i), worker=i, label=f"u{i}") for i in range(count)]
+    return [WorkUnit(fn=fn_for(i), worker=i) for i in range(count)]
 
 
 def test_results_align_with_submission_order():
@@ -169,9 +170,11 @@ def test_sequential_mode_reports_zero_queue_wait():
     executor.shutdown()
 
 
-def test_saturated_probe_and_queue_full_hook():
+@pytest.mark.parametrize("tenants", [None, TenantRegistry()], ids=["none", "registry"])
+def test_queue_capacity_bounds_concurrent_runs(tenants):
+    # Two threads share one executor; the capacity is executor-wide, so
+    # neither run may ever see more than queue_capacity units in flight.
     release = threading.Event()
-    saw = []
 
     def fn_for(i):
         def fn():
@@ -180,29 +183,23 @@ def test_saturated_probe_and_queue_full_hook():
 
         return fn
 
-    executor = ServiceExecutor(max_workers=1, queue_capacity=2)
-    assert executor.in_flight == 0
-    assert not executor.saturated()
+    executor = ServiceExecutor(max_workers=1, queue_capacity=2, tenants=tenants)
+    outcomes = {}
 
-    outcome = {}
+    def submit(name):
+        results = executor.run(make_units(4, fn_for))
+        outcomes[name] = ([r.value for r in results], executor.last_report.max_in_flight)
 
-    def submit():
-        outcome["results"] = executor.run(
-            make_units(5, fn_for), on_queue_full=saw.append
-        )
-
-    thread = threading.Thread(target=submit)
-    thread.start()
-    time.sleep(0.05)  # let submission hit the bounded queue
-    # The queue is full: the probe reports saturation and the hook fired
-    # with the in-flight count, before the submission blocked.
-    assert executor.saturated()
-    assert executor.in_flight == 2
+    threads = [threading.Thread(target=submit, args=(n,)) for n in ("a", "b")]
+    for thread in threads:
+        thread.start()
+    time.sleep(0.05)  # let both producers hit the bounded queue
     release.set()
-    thread.join(timeout=10.0)
-    assert not thread.is_alive()
-    assert [r.value for r in outcome["results"]] == list(range(5))
-    assert len(saw) == executor.last_report.backpressure_waits
-    assert saw and all(count >= 1 for count in saw)
-    assert not executor.saturated()
+    for thread in threads:
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+    assert len(outcomes) == 2
+    for values, max_in_flight in outcomes.values():
+        assert values == list(range(4))
+        assert max_in_flight <= 2
     executor.shutdown()
