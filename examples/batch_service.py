@@ -75,8 +75,7 @@ def main() -> int:
     print(f"  constructions    : {dreport.constructions}")
     print(f"  compute (model)  : {dreport.compute_ms:.3f} ms")
     print(f"  wall (measured)  : {dreport.wall_ms:.3f} ms "
-          f"(units sum {dreport.unit_wall_ms_sum:.3f} ms, "
-          f"overlap x{dreport.measured_overlap_factor:.2f})")
+          f"(units sum {dreport.unit_wall_ms_sum:.3f} ms)")
     print(f"  gather           : {dreport.communication_ms:.3f} ms")
     print(f"  alpha cache      : {dreport.cache.hits} hits / {dreport.cache.misses} misses")
     print()

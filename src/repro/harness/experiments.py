@@ -51,7 +51,6 @@ __all__ = [
     "async_service",
     "hotpath_reuse",
     "multivector_serving",
-    "splitgroup_dispatch",
     "hotfuse",
     "loadgen_slo",
     "spillwarm",
@@ -850,7 +849,7 @@ def service_throughput(
 # ---------------------------------------------------------------------------
 
 
-@measured("wall_ms", "unit_wall_ms_sum", "overlap_factor")
+@measured("wall_ms", "unit_wall_ms_sum")
 def async_service(
     n: int = DEFAULT_N,
     batch: int = 16,
@@ -906,7 +905,6 @@ def async_service(
                 "workers_used": sum(1 for w in report.workers if w.queries),
                 "wall_ms": report.wall_ms,
                 "unit_wall_ms_sum": report.unit_wall_ms_sum,
-                "overlap_factor": report.measured_overlap_factor,
                 "modelled_compute_ms": report.compute_ms,
                 "communication_ms": report.communication_ms,
                 "constructions": report.constructions,
@@ -1203,143 +1201,6 @@ def multivector_serving(
     return rows
 
 
-# ---------------------------------------------------------------------------
-# Service layer — split-group dispatch: one dominant group across the fleet
-# ---------------------------------------------------------------------------
-
-
-@measured("wall_ms")
-def splitgroup_dispatch(
-    n: int = 1 << 16,
-    dominant: int = 12,
-    minor: int = 2,
-    num_workers: int = 4,
-    dataset: str = "UD",
-    seed: int = DEFAULT_SEED,
-) -> List[Dict]:
-    """Dominant-group splitting vs pinned single-worker dispatch.
-
-    One batch with a **dominant** plan-sharing group (``dominant`` queries of
-    one ``(k, largest)``) plus a small minor group runs through two
-    dispatchers over the same fleet: ``unsplit`` pins every group whole to
-    one worker (``split_threshold=None``, the pre-split behaviour) and
-    ``split`` uses the default threshold, so the dominant group spreads with
-    a shared-plan broadcast.  Each mode dispatches a *cold* round and a
-    *warm* replay (every ``k`` replaced by a same-``alpha`` variant, result
-    cache disabled — only the plan bank can remove work).  On the warm
-    round the groups are bank hits, so modelled work is per-query only and
-    the dominant group holds ``dominant / (dominant + minor)`` of it — the
-    imbalance the split exists to fix.
-
-    Row columns: ``balance_ratio`` is the worst worker's modelled load over
-    the even share (1.0 = perfectly balanced, ``num_workers`` = one worker
-    holds everything); ``busy_workers`` counts workers that received
-    queries; ``dominant_share`` is the dominant group's fraction of the
-    dispatch's modelled work; ``identical`` certifies the split rows
-    element-wise (values and indices) against the unsplit dispatch of the
-    same phase.  ``per_split_work`` is the modelled workload each split of
-    the dominant group carried (0 on unsplit rows), and every row repeats
-    the ``tuned_min_split_work`` recommendation
-    :func:`~repro.service.router.tune_min_split_work` derives from this
-    run's balance history — the feedback loop behind the router's
-    ``min_split_work`` default.  No wall-clock column is gated — the
-    quantities are modelled, so the rows are meaningful on any host.
-    """
-    import time
-
-    from repro.service.dispatcher import ServiceDispatcher
-
-    if dominant < 2:
-        raise ConfigurationError("dominant must be >= 2 (a 1-query group cannot split)")
-    if minor < 0:
-        raise ConfigurationError("minor must be >= 0")
-    if num_workers < 2:
-        raise ConfigurationError("num_workers must be >= 2 to observe splitting")
-
-    v = _dataset_vector(dataset, n, seed)
-    k = 64
-    engine = DrTopK()
-    cold_queries = [(k, True)] * int(dominant) + [(k, False)] * int(minor)
-    warm_k = _same_alpha_variant(engine, n, k)
-    warm_queries = [(warm_k, True)] * int(dominant) + [(warm_k, False)] * int(minor)
-
-    # The dominant group's share of the modelled work, per phase, from the
-    # router's own work model (bank-cold on the cold round, bank-hit warm).
-    alpha = engine._resolve_alpha(n, k)
-    beta = engine.config.beta
-    from repro.service.cache import PartitionCache
-    from repro.service.router import Router
-
-    model = Router(num_workers=num_workers, capacity_elements=n + 1, cache=PartitionCache())
-
-    def dominant_share(bank_hit: bool) -> float:
-        dom = model.expected_group_work(n, [k] * int(dominant), alpha, beta, bank_hit)
-        rest = (
-            model.expected_group_work(n, [k] * int(minor), alpha, beta, bank_hit)
-            if minor
-            else 0.0
-        )
-        return dom / (dom + rest)
-
-    def per_split_work(use_k: int) -> float:
-        # Splitting spreads only the per-query work (the broadcast pays the
-        # construction once) over at most the fleet — the same quantity the
-        # router's min_split_work floor gates on.
-        per_query = model.expected_query_work(n, use_k, alpha, beta)
-        return per_query * int(dominant) / min(num_workers, int(dominant))
-
-    rows: List[Dict] = []
-    reference: Dict[str, List] = {}
-    for mode, threshold in (("unsplit", None), ("split", "default")):
-        kwargs = {} if threshold == "default" else {"split_threshold": None}
-        with ServiceDispatcher(
-            num_workers=num_workers, result_cache_capacity=0, **kwargs
-        ) as d:
-            for phase, queries in (("cold", cold_queries), ("warm", warm_queries)):
-                start = time.perf_counter()
-                results = d.dispatch(v, queries)
-                wall_ms = (time.perf_counter() - start) * 1e3
-                report = d.last_report
-                assert report is not None and report.route == "batched"
-                if mode == "unsplit":
-                    reference[phase] = results
-                    identical = True
-                else:
-                    identical = all(
-                        np.array_equal(a.values, b.values)
-                        and np.array_equal(a.indices, b.indices)
-                        for a, b in zip(reference[phase], results)
-                    )
-                rows.append(
-                    {
-                        "mode": mode,
-                        "phase": phase,
-                        "queries": report.num_queries,
-                        "groups_split": report.groups_split,
-                        "plan_broadcasts": report.plan_broadcasts,
-                        "constructions": report.constructions,
-                        "construction_bytes": report.construction_bytes,
-                        "plan_bank_hits": report.plan_bank_hits,
-                        "busy_workers": sum(1 for w in report.workers if w.queries),
-                        "balance_ratio": report.balance_ratio,
-                        "dominant_share": dominant_share(bank_hit=phase == "warm"),
-                        "per_split_work": (
-                            per_split_work(k if phase == "cold" else warm_k)
-                            if report.groups_split
-                            else 0.0
-                        ),
-                        "wall_ms": wall_ms,
-                        "identical": identical,
-                    }
-                )
-    from repro.service.router import tune_min_split_work
-
-    tuned = tune_min_split_work(rows)
-    for row in rows:
-        row["tuned_min_split_work"] = tuned
-    return rows
-
-
 @measured(
     "ok",
     "shed",
@@ -1487,11 +1348,9 @@ def hotfuse(
     per-query pipeline (one gather/filter/selection per query) and ``fused``
     routes the group through :func:`~repro.service.fusion.fused_group_topk`
     (one shared pass at ``max(k)``, per-query answers sliced and refined
-    from the shared candidate set).  A single worker keeps the group whole —
-    the dominant-group split would otherwise shear it into per-worker
-    passes — and the result cache is disabled so the *warm* replay (the
-    same queries, banked plan, minimum wall over ``warm_rounds``) actually
-    dispatches instead of being served verbatim.
+    from the shared candidate set).  The result cache is disabled so the
+    *warm* replay (the same queries, banked plan, minimum wall over
+    ``warm_rounds``) actually dispatches instead of being served verbatim.
 
     The rows carry the fused hot path's own accounting: ``selection_calls``
     (the gate — one per group fused, one per query unfused),

@@ -50,10 +50,6 @@ _EXPERIMENTS: Dict[str, Tuple[Callable[..., List[dict]], str]] = {
         experiments.multivector_serving,
         "named-vector admit/query/evict lifecycle over a working set",
     ),
-    "splitgroup": (
-        experiments.splitgroup_dispatch,
-        "dominant-group splitting vs pinned single-worker dispatch",
-    ),
     "hotfuse": (
         experiments.hotfuse,
         "fused vs per-query group selection, cold and warm",

@@ -45,7 +45,9 @@ caching instead of owning private loops:
   dispatch re-hashes and re-scans nothing.
 * :class:`~repro.service.executor.ServiceExecutor` /
   :class:`~repro.service.router.Router` — the execution core itself, usable
-  directly by new routes.
+  directly by new routes.  The router places each plan-sharing group whole
+  on one worker, so the group's plan is fetched or built once and its
+  queries share one fused selection.
 * :mod:`~repro.service.fusion` — fused group execution: all queries of one
   plan-sharing group are served by **one** shared first top-k at the
   group's ``max(k)`` plus one shared gather/filter, with per-query answers
@@ -129,7 +131,7 @@ from repro.service.tenancy import (
     TokenBucket,
     WeightedFairQueue,
 )
-from repro.service.router import BatchedPlan, GroupShare, Router, tune_min_split_work
+from repro.service.router import BatchedPlan, Router
 from repro.service.spill import SpillDirectory, SpillEntry, SpillInfo
 from repro.service.store import StoredVector, VectorStore
 from repro.service.dispatcher import (
@@ -183,8 +185,6 @@ __all__ = [
     "UnitResult",
     "Router",
     "BatchedPlan",
-    "GroupShare",
-    "tune_min_split_work",
     "fused_group_topk",
     "FusedGroupOutcome",
     "ScratchArena",

@@ -223,10 +223,6 @@ class BatchReport:
     #: Groups served from the cross-dispatch plan bank (zero construction
     #: traffic charged this batch).
     plan_bank_hits: int = 0
-    #: Groups served from a caller-provided shared plan handle (split-group
-    #: broadcast); the construction was charged once by the broadcaster, so
-    #: this batch records zero construction traffic for them.
-    shared_plan_groups: int = 0
     #: Full selection passes executed: one per query on the per-query loop,
     #: one per group (plus exact fallbacks) on the fused path.
     selection_calls: int = 0
@@ -277,7 +273,6 @@ class BatchReport:
                 "num_groups": self.num_groups,
                 "constructions": self.constructions,
                 "plan_bank_hits": self.plan_bank_hits,
-                "shared_plan_groups": self.shared_plan_groups,
                 "selection_calls": self.selection_calls,
                 "fused_groups": self.fused_groups,
                 "fused_queries": self.fused_queries,
@@ -358,7 +353,6 @@ class BatchTopK:
         v: np.ndarray,
         queries: Sequence[QueryLike],
         fingerprint: Optional[str] = None,
-        shared_plans: Optional[Dict[Tuple[int, bool], QueryPlan]] = None,
     ) -> List[TopKResult]:
         """Answer every query against ``v``; results align with ``queries``.
 
@@ -368,13 +362,6 @@ class BatchTopK:
         bank attached, groups whose plan is already banked skip construction
         entirely; ``fingerprint`` (when the caller — typically the
         dispatcher — has already fingerprinted ``v``) avoids hashing twice.
-
-        ``shared_plans`` maps ``(alpha, largest)`` group keys to broadcast
-        :class:`QueryPlan` handles (split-group dispatch): a group whose key
-        is present is served from the handle, read-only, with zero
-        construction charged here — the broadcaster charged it once for all
-        splits.  The handles must have been built over exactly ``v`` with
-        this engine's configuration.
         """
         parsed = [TopKQuery.of(q) for q in queries]
         report = BatchReport(num_queries=len(parsed))
@@ -415,21 +402,13 @@ class BatchTopK:
             # holds for any).  The fused *selection* below then runs once at
             # the group's max(k) and serves every smaller k from it.
             min_k = min(parsed[p].k for p in positions)
-            plan = shared_plans.get((alpha, largest)) if shared_plans else None
-            shared_hit = plan is not None
-            bank_hit = False
-            if plan is None:
-                plan = self._banked_plan(fingerprint, alpha, largest)
-                bank_hit = plan is not None
+            plan = self._banked_plan(fingerprint, alpha, largest)
+            bank_hit = plan is not None
             if plan is None:
                 plan = self.engine.prepare_with_alpha(v, alpha, largest=largest, k=min_k)
                 if self.plan_bank is not None and fingerprint is not None:
                     self.plan_bank.put(fingerprint, plan)
-            if shared_hit:
-                # A broadcast handle: the split-group dispatcher charged the
-                # construction once for every split, not per worker.
-                report.shared_plan_groups += 1
-            elif bank_hit:
+            if bank_hit:
                 # The banked construction happened in an earlier dispatch;
                 # this batch moves no construction traffic for the group.
                 report.plan_bank_hits += 1
@@ -493,10 +472,9 @@ class BatchTopK:
         v: np.ndarray,
         queries: Sequence[QueryLike],
         fingerprint: Optional[str] = None,
-        shared_plans: Optional[Dict[Tuple[int, bool], QueryPlan]] = None,
     ) -> Tuple[List[TopKResult], BatchReport]:
         """Like :meth:`run`, also returning the batch's :class:`BatchReport`."""
-        results = self.run(v, queries, fingerprint=fingerprint, shared_plans=shared_plans)
+        results = self.run(v, queries, fingerprint=fingerprint)
         assert self.last_report is not None
         return results, self.last_report
 

@@ -5,8 +5,8 @@ execution core landed it is a thin submit/collect wrapper: the
 :class:`~repro.service.router.Router` classifies each request and emits
 per-worker :class:`~repro.service.executor.WorkUnit`\\ s, the shared
 :class:`~repro.service.executor.ServiceExecutor` runs them concurrently on a
-bounded-queue thread pool (real wall-clock overlap, measured next to the
-modelled ``compute_ms``), and the dispatcher merges the outcomes into results
+bounded-queue thread pool (measured wall-clock next to the modelled
+``compute_ms``), and the dispatcher merges the outcomes into results
 and a :class:`DispatchReport`.
 
 Three routes run through the core:
@@ -14,15 +14,10 @@ Three routes run through the core:
 * **Batched** — the shared vector fits one device's sub-vector capacity.
   Queries are grouped exactly like :class:`~repro.service.batch.BatchTopK`
   (shared ``(alpha, largest)`` plans) and groups are placed on workers with
-  a greedy least-loaded assignment.  A group normally stays whole on one
-  worker so plan reuse is never paid twice; a **dominant** group (above the
-  router's ``split_threshold`` of the dispatch's modelled work) is split
-  across workers instead, its single :class:`~repro.core.plan.QueryPlan`
-  broadcast to every split as a shared read-only handle — constructed or
-  bank-fetched exactly once (``DispatchReport.groups_split`` /
-  ``plan_broadcasts`` account for it, ``balance_ratio`` shows the win).
-  Per-worker results are gathered to the primary through the
-  :class:`~repro.distributed.comm.SimulatedComm` cost model.
+  a greedy least-loaded assignment.  A group always stays whole on one
+  worker, so its plan is fetched or built once and its queries share one
+  fused selection pass.  Per-worker results are gathered to the primary
+  through the :class:`~repro.distributed.comm.SimulatedComm` cost model.
 * **Sharded** — the vector exceeds the capacity.  The batch runs the Figure
   16 workflow via :meth:`~repro.distributed.multigpu.MultiGpuDrTopK.topk_batch`
   with one work unit per GPU: per-shard delegate vectors are built once per
@@ -90,11 +85,7 @@ from repro.service.planbank import (
     ChunkMemo,
     PlanBank,
 )
-from repro.service.router import (
-    DEFAULT_MIN_SPLIT_WORK,
-    DEFAULT_SPLIT_THRESHOLD,
-    Router,
-)
+from repro.service.router import Router
 from repro.service.spill import SpillDirectory
 from repro.service.store import (
     DEFAULT_PROMOTE_AFTER,
@@ -132,9 +123,6 @@ class WorkerReport:
     compute_ms: float = 0.0
     bytes_moved: float = 0.0
     wall_ms: float = 0.0
-    #: Modelled element workload the router's placement put on this worker
-    #: (zero on routes that do not place by weight).
-    load: float = 0.0
 
 
 @dataclass
@@ -143,8 +131,7 @@ class DispatchReport:
 
     ``compute_ms`` is the *modelled* parallel compute time (workers overlap,
     so the maximum); ``wall_ms`` is the *measured* wall-clock of the unit
-    execution and ``unit_wall_ms_sum`` what the same units measured end to
-    end — their gap is the executor's real overlap.
+    execution and ``unit_wall_ms_sum`` the units' measured walls summed.
     """
 
     num_queries: int = 0
@@ -167,12 +154,6 @@ class DispatchReport:
     #: bank-hit group contributed zero construction traffic to bytes_moved.
     plan_bank: Optional[CacheInfo] = None
     plan_bank_hits: int = 0
-    #: Plan-sharing groups the batched route split across >= 2 workers
-    #: (dominant groups above the router's ``split_threshold``).
-    groups_split: int = 0
-    #: Shared plan handles handed to split-group work units; the broadcast
-    #: plan behind them was fetched or constructed exactly once per group.
-    plan_broadcasts: int = 0
     #: Streaming chunk-memo statistics and this dispatch's memoised-chunk
     #: serve count (per key order, per chunk).
     chunk_memo: Optional[CacheInfo] = None
@@ -224,26 +205,6 @@ class DispatchReport:
     def total_ms(self) -> float:
         """End-to-end modelled time (parallel compute plus the gather)."""
         return self.compute_ms + self.communication_ms
-
-    @property
-    def measured_overlap_factor(self) -> float:
-        """Measured busy unit-time packed into each wall-clock unit of time."""
-        if self.wall_ms <= 0.0:
-            return 1.0
-        return self.unit_wall_ms_sum / self.wall_ms
-
-    @property
-    def balance_ratio(self) -> float:
-        """Worst-worker modelled load over the perfectly even share.
-
-        ``1.0`` is a perfectly balanced fleet, ``num_workers`` is one worker
-        holding everything; ``1.0`` also when the route reports no loads.
-        """
-        loads = [w.load for w in self.workers]
-        total = sum(loads)
-        if not loads or total <= 0.0:
-            return 1.0
-        return max(loads) * len(loads) / total
 
 
 @dataclass(frozen=True)
@@ -320,16 +281,6 @@ class ServiceDispatcher:
         ``2 * num_workers``.
     chunk_elements:
         Slice size for the streaming route when the input arrives as chunks.
-    split_threshold:
-        Fraction of a batched dispatch's total modelled work above which one
-        plan-sharing group is split across workers with a shared-plan
-        broadcast (see :class:`~repro.service.router.Router`).  ``None``
-        pins every group whole to one worker — the pre-split behaviour and
-        the baseline the ``splitgroup`` experiment compares against.
-    min_split_work:
-        Absolute floor on the modelled per-split workload below which a
-        dominant group stays whole (see
-        :class:`~repro.service.router.Router`); ``0`` disables the floor.
     fused:
         Serve each plan-sharing group through the fused group selection of
         :mod:`repro.service.fusion` (one shared first top-k at the group's
@@ -378,8 +329,6 @@ class ServiceDispatcher:
         execution: str = "threads",
         queue_capacity: Optional[int] = None,
         chunk_elements: int = DEFAULT_CHUNK_ELEMENTS,
-        split_threshold: Optional[float] = DEFAULT_SPLIT_THRESHOLD,
-        min_split_work: float = DEFAULT_MIN_SPLIT_WORK,
         fused: bool = True,
         spill_dir: Optional[str] = None,
         promote_after: int = DEFAULT_PROMOTE_AFTER,
@@ -461,8 +410,6 @@ class ServiceDispatcher:
             capacity_elements=self.capacity_elements,
             cache=self.cache,
             plan_bank=self.plan_bank,
-            split_threshold=split_threshold,
-            min_split_work=min_split_work,
             snap_tolerance=snap_tolerance,
         )
         self.last_report: Optional[DispatchReport] = None
@@ -905,7 +852,7 @@ class ServiceDispatcher:
         """Rebuild the manifest's plan geometry for one re-admitted entry.
 
         Returns ``(warmed, skipped)``.  Rebuilding goes through the same
-        :meth:`PlanBank.shared` broadcast primitive a dispatch uses, with
+        :meth:`PlanBank.shared` fetch-or-build primitive admission uses, with
         ``k=None`` (never degenerate), so the first query after re-admission
         is a plan-bank hit with zero construction bytes.
         """
@@ -1143,14 +1090,6 @@ class ServiceDispatcher:
         units, bplan = self.router.batched_units(
             v, parsed, self.workers, fingerprint=fingerprint
         )
-        # Split-group broadcast accounting: every split group's plan was
-        # fetched or built exactly once (on this, the primary's, thread)
-        # before the units ran; charge the construction to the primary
-        # worker's report so the modelled compute time still covers it.
-        report.groups_split = bplan.groups_split
-        report.plan_broadcasts = bplan.plan_broadcasts
-        report.plan_bank_hits += bplan.broadcast_bank_hits
-        report.construction_bytes += bplan.broadcast_construction_bytes
         outcomes = self.executor.run(units)
 
         results: List[Optional[TopKResult]] = [None] * len(parsed)
@@ -1158,11 +1097,7 @@ class ServiceDispatcher:
         worker_values: List[np.ndarray] = []
         worker_indices: List[np.ndarray] = []
         for w, positions in enumerate(bplan.placement):
-            wreport = WorkerReport(worker=w, queries=len(positions), load=bplan.loads[w])
-            if w == 0:
-                wreport.constructions += bplan.broadcast_constructions
-                wreport.compute_ms += bplan.broadcast_construction_ms
-                wreport.bytes_moved += bplan.broadcast_construction_bytes
+            wreport = WorkerReport(worker=w, queries=len(positions))
             outcome = by_worker.get(w)
             if outcome is not None:
                 positions, sub_results, batch_report = outcome.value

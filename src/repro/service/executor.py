@@ -14,10 +14,10 @@ further submissions block, which is the backpressure that lets the service
 layer absorb bursty traffic without unbounded memory growth.
 
 Every run measures real wall-clock time per unit and end to end, so the
-``async_service`` experiment can put *measured* overlap next to the modelled
+``async_service`` experiment can put *measured* time next to the modelled
 ``compute_ms`` the cost model has always reported.  ``mode="sequential"``
 runs the same units in submission order on the calling thread — the baseline
-the overlap is measured against, and a determinism escape hatch for tests.
+threads mode is measured against, and a determinism escape hatch for tests.
 
 Scheduling is **weighted deficit-round-robin** over per-tenant queues:
 every concurrent :meth:`ServiceExecutor.run` pushes its units into one
@@ -67,20 +67,11 @@ class WorkUnit:
     route:
         The service route that emitted the unit (``batched`` / ``sharded`` /
         ``streaming``).
-    shares:
-        Provenance of the plan-sharing groups this unit serves (the batched
-        route's :class:`~repro.service.router.GroupShare` records).  Splits
-        of one group appear as shares with the same group key on different
-        units, so a merged report can attribute work back to the group that
-        was split.  Units must stay independently submittable regardless of
-        provenance: a share never implies an execution-order dependency on
-        its sibling splits.
     """
 
     fn: Callable[[], Any]
     worker: int = 0
     route: str = ""
-    shares: tuple = ()
 
 
 @dataclass
@@ -120,9 +111,11 @@ class UnitResult:
 class ExecutorReport:
     """Measured (not modelled) execution statistics of one run.
 
-    ``unit_wall_ms_sum`` is what the same units would have cost end to end
-    with zero overlap; ``wall_ms`` is what the run actually took.  Their
-    ratio, :attr:`overlap_factor`, is > 1 whenever execution overlapped.
+    ``unit_wall_ms_sum`` is the units' measured walls summed; ``wall_ms`` is
+    what the run actually took.  Under time slicing each unit's wall also
+    counts the time it waited for a core, so the two are not an overlap
+    measure: compare ``wall_ms`` against a ``mode="sequential"`` run of the
+    same units instead.
     """
 
     mode: str = "threads"
@@ -135,13 +128,6 @@ class ExecutorReport:
     max_unit_queue_ms: float = 0.0
     max_in_flight: int = 0
     backpressure_waits: int = 0
-
-    @property
-    def overlap_factor(self) -> float:
-        """Busy unit-time packed into each wall-clock unit of time."""
-        if self.wall_ms <= 0.0:
-            return 1.0
-        return self.unit_wall_ms_sum / self.wall_ms
 
 
 class ServiceExecutor:

@@ -307,16 +307,14 @@ class PlanBank(_ByteBudgetLru):
     ) -> Tuple[QueryPlan, bool]:
         """Shared-handle access: get the banked plan or build it exactly once.
 
-        Returns ``(plan, constructed)``.  This is the broadcast primitive of
-        split-group dispatch: the dispatcher hands the returned plan to every
-        split of a plan-sharing group, so N splits charge **one**
-        construction — and under concurrency (two dispatches racing on the
-        same cold key) the per-key build lock still admits a single builder
+        Returns ``(plan, constructed)``.  The dispatcher's plan pre-warming
+        and re-warming go through it: under concurrency (two callers racing
+        on the same cold key) the per-key build lock admits a single builder
         run while the losers wait and return the winner's plan with
         ``constructed=False``.
 
         The returned handle stays valid even if the entry is invalidated or
-        evicted while splits are in flight — holders keep their reference;
+        evicted while holders still use it — they keep their reference;
         invalidation only stops *future* lookups from hitting.  A degenerate
         plan (construction skipped at preparation) is returned but never
         banked, matching :meth:`put`.

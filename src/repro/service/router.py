@@ -13,14 +13,10 @@ decides which route serves it —
   (a bank-hit group costs its queries only; a cold group additionally pays
   the O(n) construction scan), so one cold group no longer lands on the same
   worker as a pile of cheap bank-hit groups just because the query counts
-  matched.  A group normally stays whole on one worker (splitting it naively
-  would re-run its construction per worker) — but a **dominant** group, one
-  whose weight exceeds :attr:`Router.split_threshold` of the dispatch's
-  total, is *split*: its queries spread over several workers and the
-  dispatcher broadcasts the group's single :class:`~repro.core.plan.QueryPlan`
-  to every split (built or bank-fetched exactly once, handed out as a shared
-  read-only handle), so the fleet no longer serializes behind one hot
-  vector's one worker;
+  matched.  A group always stays whole on one worker, so it pays one plan
+  fetch or construction and one fused selection pass (see
+  :mod:`repro.service.fusion`); the paper's multi-GPU workflow splits the
+  *vector*, which is the sharded route, never a query group;
 * **sharded** — the vector exceeds the capacity; every worker becomes one GPU
   of the Figure 16 multi-GPU workflow and the batch runs with per-shard plan
   reuse through :meth:`~repro.distributed.multigpu.MultiGpuDrTopK.topk_batch`;
@@ -36,12 +32,11 @@ closures); the :class:`~repro.service.executor.ServiceExecutor` runs it and
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.plan import QueryPlan
 from repro.errors import ConfigurationError
 from repro.service.batch import (
     DEFAULT_ALPHA_SNAP_TOLERANCE,
@@ -56,7 +51,7 @@ from repro.service.tenancy import DEFAULT_TENANT
 from repro.types import TopKResult
 from repro.utils import ceil_div
 
-__all__ = ["Router", "GroupShare", "BatchedPlan", "tune_min_split_work"]
+__all__ = ["Router", "BatchedPlan"]
 
 #: Route names emitted by :meth:`Router.classify`.
 ROUTES = ("batched", "sharded", "streaming")
@@ -64,21 +59,6 @@ ROUTES = ("batched", "sharded", "streaming")
 #: What one streaming work unit returns: ``(offset, length, {largest: result},
 #: engine report or None, memo hits)``.
 _ChunkOutcome = Tuple[int, int, Dict[bool, TopKResult], Any, int]
-
-#: Default fraction of a dispatch's total modelled work above which one
-#: plan-sharing group is split across workers (``None`` pins groups whole).
-DEFAULT_SPLIT_THRESHOLD = 0.5
-
-#: Default floor on the modelled per-split element workload below which a
-#: dominant group is *not* split.  Splitting buys balance but costs a plan
-#: broadcast and per-worker merge overhead; on tiny groups the overhead
-#: dominates, so a group only splits when each resulting share still
-#: carries at least this much modelled work (in input elements).  The
-#: default is deliberately conservative — it only vetoes splits too small
-#: to cover even one broadcast handle; derive a workload-fitted floor from
-#: the ``splitgroup`` experiment's balance history with
-#: :func:`tune_min_split_work`.
-DEFAULT_MIN_SPLIT_WORK = 64.0
 
 #: Load slack (as a fraction of the dispatch's total weight) within which
 #: placement prefers a repeat vector's remembered worker over the strictly
@@ -91,101 +71,16 @@ AFFINITY_SLACK = 0.25
 _AFFINITY_CAP = 4096
 
 
-@dataclass(frozen=True)
-class GroupShare:
-    """One plan-sharing group's share of queries on one worker.
-
-    The placement provenance of the batched route: an unsplit group is a
-    single share (``split_total == 1``); a split group appears as one share
-    per worker it landed on, all carrying the same ``group`` key, so the
-    dispatcher (and anyone reading :attr:`WorkUnit.shares`) can identify the
-    splits of one group and attribute the broadcast plan's single
-    construction to all of them.
-    """
-
-    #: The plan-compatibility key, ``(alpha, largest)``.
-    group: Tuple[int, bool]
-    worker: int
-    #: Query positions (into the dispatch's parsed queries) of this share.
-    positions: Tuple[int, ...]
-    #: 0-based index of this share among its group's shares (worker order).
-    split_index: int = 0
-    #: How many workers serve the group; > 1 means the group was split.
-    split_total: int = 1
-    #: Modelled element workload this share contributes to its worker.
-    weight: float = 0.0
-
-
 @dataclass
 class BatchedPlan:
-    """Placement plan of one batched dispatch, with split provenance.
-
-    Produced by :meth:`Router.plan_batched` (placement and split decisions)
-    and completed by :meth:`Router.batched_units` (the broadcast accounting
-    fields, filled when shared plan handles are actually fetched or built).
-    """
+    """Placement plan of one batched dispatch (:meth:`Router.plan_batched`)."""
 
     #: Query positions per worker (the merge contract: every position
     #: appears exactly once, on exactly one worker).
     placement: List[List[int]]
-    #: One record per (group, worker) pair that received queries.
-    shares: List[GroupShare]
     #: Modelled per-worker load the placement produced.
     loads: List[float]
     total_weight: float = 0.0
-    #: Split groups to broadcast — group key → the group-wide minimum ``k``
-    #: the shared plan must be prepared with (only groups that actually
-    #: landed on >= 2 workers; a split candidate that fit one worker is
-    #: served through the normal per-worker path).
-    split_min_k: Dict[Tuple[int, bool], int] = field(default_factory=dict)
-    #: Shared read-only plan handles, one per split group (broadcast once).
-    shared_plans: Dict[Tuple[int, bool], QueryPlan] = field(default_factory=dict)
-    #: Shared-plan handles handed to units (one per split group share).
-    plan_broadcasts: int = 0
-    #: Constructions the broadcast ran (at most one per split group; zero on
-    #: the warm path, where every broadcast is a bank hit).
-    broadcast_constructions: int = 0
-    broadcast_construction_bytes: float = 0.0
-    broadcast_construction_ms: float = 0.0
-    #: Broadcasts served from the plan bank without construction.
-    broadcast_bank_hits: int = 0
-
-    @property
-    def groups_split(self) -> int:
-        """Plan-sharing groups whose queries landed on >= 2 workers."""
-        return len({s.group for s in self.shares if s.split_total > 1})
-
-
-def tune_min_split_work(
-    rows: Sequence[Dict], default: float = DEFAULT_MIN_SPLIT_WORK
-) -> float:
-    """Recommend a ``min_split_work`` floor from ``splitgroup`` history rows.
-
-    ``rows`` are the ``splitgroup`` experiment's records: ``unsplit`` rows
-    give each phase's baseline ``balance_ratio`` and ``split`` rows carry the
-    modelled ``per_split_work`` the split actually produced.  The
-    recommendation is the smallest per-split workload that *demonstrably*
-    improved balance (split ``balance_ratio`` strictly below the same
-    phase's unsplit baseline) — the measured point where splitting starts
-    paying for itself.  With no improving observation the ``default`` floor
-    stands: history that never shows a win is no licence to lower the gate.
-    """
-    baseline: Dict[Optional[str], float] = {}
-    for row in rows:
-        if row.get("mode") == "unsplit":
-            baseline[row.get("phase")] = float(row["balance_ratio"])
-    improved = [
-        float(row["per_split_work"])
-        for row in rows
-        if row.get("mode") == "split"
-        and float(row.get("per_split_work", 0.0)) > 0.0
-        and row.get("groups_split")
-        and row.get("phase") in baseline
-        and float(row["balance_ratio"]) < baseline[row.get("phase")]
-    ]
-    if not improved:
-        return float(default)
-    return min(improved)
 
 
 class Router:
@@ -205,19 +100,6 @@ class Router:
         Optional shared :class:`PlanBank`; when given, placement peeks at
         each group's bank hit state (without perturbing the LRU) and weighs
         bank-hit groups without their construction scan.
-    split_threshold:
-        Fraction of a dispatch's total modelled work above which one
-        plan-sharing group (of >= 2 queries, on a fleet of >= 2 workers) is
-        split across workers with a shared-plan broadcast.  ``None``
-        disables splitting — every group pins whole to one worker, the
-        pre-split behaviour and the differential baseline.
-    min_split_work:
-        Absolute floor on the modelled per-split workload (in input
-        elements): a dominant group whose per-query work spread over the
-        fleet would leave each split below this floor stays whole — tiny
-        groups never split, however dominant they look relatively.  ``0``
-        disables the floor (every relative-dominant group splits, the
-        pre-floor behaviour).
     snap_tolerance:
         Modelled-cost headroom for bank-aware alpha snapping in the
         placement grouping (must match the workers' tolerance so placement
@@ -230,28 +112,16 @@ class Router:
         capacity_elements: int,
         cache: PartitionCache,
         plan_bank: Optional[PlanBank] = None,
-        split_threshold: Optional[float] = DEFAULT_SPLIT_THRESHOLD,
-        min_split_work: float = DEFAULT_MIN_SPLIT_WORK,
         snap_tolerance: Optional[float] = DEFAULT_ALPHA_SNAP_TOLERANCE,
     ) -> None:
         if num_workers < 1:
             raise ConfigurationError("num_workers must be positive")
         if capacity_elements < 1:
             raise ConfigurationError("capacity_elements must be positive")
-        if split_threshold is not None and not 0.0 < float(split_threshold) <= 1.0:
-            raise ConfigurationError(
-                "split_threshold must be in (0, 1], or None to disable splitting"
-            )
-        if min_split_work < 0:
-            raise ConfigurationError("min_split_work must be >= 0")
         self.num_workers = int(num_workers)
         self.capacity_elements = int(capacity_elements)
         self.cache = cache
         self.plan_bank = plan_bank
-        self.split_threshold = (
-            float(split_threshold) if split_threshold is not None else None
-        )
-        self.min_split_work = float(min_split_work)
         self.snap_tolerance = snap_tolerance
         # Per-name (per-fingerprint) serving history: how many queries each
         # content has answered, and which worker its heaviest group last
@@ -325,9 +195,7 @@ class Router:
 
         The per-query share of :meth:`expected_group_work`: the first top-k
         over the delegate vector plus a ``k``-proportional
-        concatenation/second-pass term.  Split placement weighs a dominant
-        group's individual queries with this — their construction is paid
-        once by the broadcast, not per worker.
+        concatenation/second-pass term.
         """
         if n < 1:
             raise ConfigurationError("n must be positive")
@@ -386,30 +254,20 @@ class Router:
         engine: BatchTopK,
         fingerprint: Optional[str] = None,
     ) -> BatchedPlan:
-        """Work-weighted placement with dominant-group splitting.
+        """Work-weighted placement of whole plan-sharing groups.
 
         Groups are weighted by :meth:`expected_group_work` — expected
         workload from ``k``, ``alpha`` and the plan-bank hit state — and
-        placed heaviest first onto the least-loaded worker.  A group
-        normally stays whole (splitting it naively would re-run its
-        construction per worker); a **dominant** group — weight strictly
-        above ``split_threshold`` of the dispatch's total, with >= 2 queries
-        on a fleet of >= 2 workers — is instead placed query by query, each
-        query weighted by :meth:`expected_query_work` (its construction is
-        excluded: the dispatcher broadcasts the group's single plan).  The
-        greedy bound therefore holds item-wise: no worker's load exceeds the
-        even share plus one placed item's weight.
+        placed heaviest first onto the least-loaded worker.  A group always
+        stays whole, so it pays one plan fetch or construction and one fused
+        selection.  The greedy bound holds group-wise: no worker's load
+        exceeds the even share plus one group's weight.
 
         A vector with recorded per-name hit history (see
         :meth:`note_queries`) additionally carries worker *affinity*: its
-        heaviest **whole** group returns to the worker that served it last
+        groups return to the worker that served its heaviest group last
         whenever that worker's load is within :data:`AFFINITY_SLACK` of the
-        least loaded.  Split queries ignore affinity — pinning them back to
-        one remembered worker would undo exactly the spreading the split is
-        for.
-
-        Returns the full :class:`BatchedPlan` (placement, per-share
-        provenance, modelled loads and the split groups to broadcast).
+        least loaded.
         """
         n = int(v.shape[0])
         # Same grouping call (bank-aware snapping included) the workers make:
@@ -424,7 +282,7 @@ class Router:
             snap_tolerance=self.snap_tolerance,
         )
         beta = engine.config.beta
-        group_info = []  # (key, positions, group weight, per-query weights)
+        items = []  # (group weight, positions)
         for (alpha, largest), positions in groups.items():
             bank_hit = (
                 self.plan_bank is not None
@@ -433,37 +291,8 @@ class Router:
             )
             ks = [parsed[p].k for p in positions]
             weight = self.expected_group_work(n, ks, alpha, beta, bank_hit)
-            per_query = [self.expected_query_work(n, k, alpha, beta) for k in ks]
-            group_info.append(((alpha, largest), positions, weight, per_query))
-        total_weight = sum(weight for _, _, weight, _ in group_info)
-
-        split_keys = set()
-        if self.split_threshold is not None and self.num_workers > 1:
-            for key, positions, weight, per_query in group_info:
-                if len(positions) < 2:
-                    continue
-                if weight <= self.split_threshold * total_weight:
-                    continue
-                # The absolute floor: splitting spreads only the per-query
-                # work (the broadcast pays the construction once), so each
-                # split's share must still be worth a broadcast handle and a
-                # merge — tiny groups stay whole however dominant they look.
-                splits = min(self.num_workers, len(positions))
-                if sum(per_query) / splits < self.min_split_work:
-                    continue
-                split_keys.add(key)
-
-        # Placement items: whole groups, or — for split groups — one item
-        # per query.  The stable descending sort keeps equal-weight items in
-        # group/query emission order, so identical inputs place identically.
-        items = []  # (weight, key, positions tuple, splittable)
-        for key, positions, weight, per_query in group_info:
-            if key in split_keys:
-                items.extend(
-                    (w, key, (p,), True) for p, w in zip(positions, per_query)
-                )
-            else:
-                items.append((weight, key, tuple(positions), False))
+            items.append((weight, positions))
+        total_weight = sum(weight for weight, _ in items)
 
         preferred: Optional[int] = None
         if fingerprint is not None:
@@ -473,29 +302,23 @@ class Router:
 
         load = [0.0] * self.num_workers
         placement: List[List[int]] = [[] for _ in range(self.num_workers)]
-        # (group key, worker) -> [positions, share weight]
-        share_acc: Dict[Tuple[Tuple[int, bool], int], list] = {}
         heaviest_target: Optional[int] = None
-        for weight, key, positions, is_piece in sorted(
-            items, key=lambda item: item[0], reverse=True
-        ):
+        # The stable descending sort keeps equal-weight groups in emission
+        # order, so identical inputs place identically.
+        for weight, positions in sorted(items, key=lambda item: item[0], reverse=True):
             target = min(range(self.num_workers), key=load.__getitem__)
             if (
-                not is_piece
-                and preferred is not None
+                preferred is not None
                 and 0 <= preferred < self.num_workers
                 and load[preferred] <= load[target] + AFFINITY_SLACK * total_weight
             ):
                 target = preferred
             if heaviest_target is None:
-                heaviest_target = target  # sorted: the first item is heaviest
+                heaviest_target = target  # sorted: the first group is heaviest
             placement[target].extend(positions)
-            acc = share_acc.setdefault((key, target), [[], 0.0])
-            acc[0].extend(positions)
-            acc[1] += weight
             load[target] += weight
         if fingerprint is not None and heaviest_target is not None:
-            # Remember where the heaviest item landed (not the most-loaded
+            # Remember where the heaviest group landed (not the most-loaded
             # worker, which a pile of light groups can out-weigh and flip
             # between dispatches) so repeats steer it back there.
             with self._history_lock:
@@ -503,37 +326,7 @@ class Router:
                 self._affinity[fingerprint] = heaviest_target
                 while len(self._affinity) > _AFFINITY_CAP:
                     self._affinity.pop(next(iter(self._affinity)))
-
-        workers_of: Dict[Tuple[int, bool], List[int]] = {}
-        for key, worker in share_acc:
-            workers_of.setdefault(key, []).append(worker)
-        shares: List[GroupShare] = []
-        for key, positions, _, _ in group_info:
-            group_workers = sorted(workers_of.get(key, []))
-            for split_index, worker in enumerate(group_workers):
-                acc = share_acc[(key, worker)]
-                shares.append(
-                    GroupShare(
-                        group=key,
-                        worker=worker,
-                        positions=tuple(acc[0]),
-                        split_index=split_index,
-                        split_total=len(group_workers),
-                        weight=acc[1],
-                    )
-                )
-        split_min_k = {
-            key: min(parsed[p].k for p in positions)
-            for key, positions, _, _ in group_info
-            if key in split_keys and len(workers_of.get(key, [])) > 1
-        }
-        return BatchedPlan(
-            placement=placement,
-            shares=shares,
-            loads=load,
-            total_weight=total_weight,
-            split_min_k=split_min_k,
-        )
+        return BatchedPlan(placement=placement, loads=load, total_weight=total_weight)
 
     def place_groups(
         self,
@@ -551,7 +344,6 @@ class Router:
         parsed: Sequence[TopKQuery],
         workers: Sequence[BatchTopK],
         fingerprint: Optional[str] = None,
-        plan: Optional[BatchedPlan] = None,
     ) -> Tuple[List[WorkUnit], BatchedPlan]:
         """Emit one :class:`WorkUnit` per worker that received queries.
 
@@ -559,57 +351,9 @@ class Router:
         worker's share and returns ``(positions, results, batch_report)`` for
         the dispatcher to merge.  ``fingerprint`` keys the workers' plan-bank
         lookups (and the placement's hit peek) without re-hashing ``v``.
-
-        For every group the placement split, the group's :class:`QueryPlan`
-        is **broadcast** here, before any unit runs: fetched from the plan
-        bank or built exactly once (:meth:`PlanBank.shared`, which also
-        serialises concurrent dispatches racing on one cold key), its views
-        materialised so concurrent splits only ever read it, and handed to
-        each unit as a shared read-only handle.  The splits charge zero
-        construction; the broadcast's own accounting (one construction at
-        most per split group, or a bank hit) is recorded on the returned
-        :class:`BatchedPlan` for the dispatcher to merge.  Units of one
-        split group stay independently submittable — they share the plan
-        handle, never execution order.
+        Also returns the :class:`BatchedPlan` the units were emitted from.
         """
-        engine = workers[0].engine
-        if plan is None:
-            plan = self.plan_batched(v, parsed, engine, fingerprint=fingerprint)
-
-        for (alpha, largest), min_k in plan.split_min_k.items():
-
-            def build(
-                alpha: float = alpha, largest: bool = largest, min_k: int = min_k
-            ) -> QueryPlan:
-                return engine.prepare_with_alpha(v, alpha, largest=largest, k=min_k)
-
-            if self.plan_bank is not None and fingerprint is not None:
-                qplan, constructed = self.plan_bank.shared(
-                    fingerprint, alpha, largest, engine.config.beta, build
-                )
-            else:
-                qplan, constructed = build(), True
-            if not qplan.is_degenerate:
-                # Pre-materialise the lazy views: N splits then share the
-                # handle strictly read-only (no first-touch races).
-                qplan.materialise_views()
-            plan.shared_plans[(alpha, largest)] = qplan
-            if not constructed:
-                plan.broadcast_bank_hits += 1
-            elif not qplan.is_degenerate:
-                plan.broadcast_constructions += 1
-                plan.broadcast_construction_bytes += qplan.construction_bytes
-                plan.broadcast_construction_ms += qplan.construction_ms(
-                    engine.config.device
-                )
-        plan.plan_broadcasts = sum(
-            1 for share in plan.shares if share.group in plan.shared_plans
-        )
-
-        shares_by_worker: Dict[int, List[GroupShare]] = {}
-        for share in plan.shares:
-            shares_by_worker.setdefault(share.worker, []).append(share)
-        shared = plan.shared_plans or None
+        plan = self.plan_batched(v, parsed, workers[0].engine, fingerprint=fingerprint)
 
         def unit_fn(
             worker: BatchTopK, positions: List[int]
@@ -617,23 +361,14 @@ class Router:
             sub_queries = [parsed[p] for p in positions]
             return lambda: (
                 positions,
-                *worker.run_with_report(
-                    v, sub_queries, fingerprint=fingerprint, shared_plans=shared
-                ),
+                *worker.run_with_report(v, sub_queries, fingerprint=fingerprint),
             )
 
-        units = []
-        for w, positions in enumerate(plan.placement):
-            if not positions:
-                continue
-            units.append(
-                WorkUnit(
-                    fn=unit_fn(workers[w], positions),
-                    worker=w,
-                    route="batched",
-                    shares=tuple(shares_by_worker.get(w, ())),
-                )
-            )
+        units = [
+            WorkUnit(fn=unit_fn(workers[w], positions), worker=w, route="batched")
+            for w, positions in enumerate(plan.placement)
+            if positions
+        ]
         return units, plan
 
     # -- streaming-route emission ----------------------------------------------

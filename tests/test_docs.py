@@ -59,8 +59,6 @@ def test_glossary_covers_the_promised_fields():
     for field in (
         "construction_bytes",
         "plan_bank_hits",
-        "groups_split",
-        "balance_ratio",
         "p50",
         "p95",
         "p99",

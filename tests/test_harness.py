@@ -42,7 +42,6 @@ class TestRunnerRegistry:
             "async",    # sequential vs overlapped dispatch (not a paper figure)
             "hotpath",  # cold vs plan-bank-warm serving cost (not a paper figure)
             "multivector",  # named admit/query/evict lifecycle (not a paper figure)
-            "splitgroup",  # dominant-group splitting vs pinned (not a paper figure)
             "hotfuse",  # fused vs per-query group selection (not a paper figure)
             "loadgen",  # tail latency + admission control under load (not a paper figure)
             "spillwarm",  # out-of-core spill tier + warm restart (not a paper figure)

@@ -28,29 +28,23 @@ def test_batched_route_matches_loop(uniform_u32):
     assert report.compute_ms == max(w.compute_ms for w in report.workers)
 
 
-def test_one_plan_construction_no_matter_the_placement(uniform_u32):
-    # 8 identical queries share one plan: exactly one construction
-    # fleet-wide no matter how many workers serve them.  With splitting
-    # disabled the group pins to one worker (the pre-split behaviour); by
-    # default the dominant group spreads across the fleet and the single
-    # construction happens at broadcast time instead.
-    pinned = ServiceDispatcher(num_workers=4, split_threshold=None)
-    pinned.dispatch(uniform_u32, [(128, True)] * 8)
-    report = pinned.last_report
-    assert report.constructions == 1
-    assert report.groups_split == 0 and report.plan_broadcasts == 0
-    assert sum(1 for w in report.workers if w.queries) == 1
-
-    split = ServiceDispatcher(num_workers=4)
-    split.dispatch(uniform_u32, [(128, True)] * 8)
-    report = split.last_report
-    assert report.constructions == 1
-    assert report.groups_split == 1
-    assert report.plan_broadcasts == 4
-    assert sum(1 for w in report.workers if w.queries) == 4
-    # The spread is even and the modelled balance reflects it.
-    assert [w.queries for w in report.workers] == [2, 2, 2, 2]
-    assert report.balance_ratio < 4.0
+def test_one_plan_construction_no_matter_the_placement(rng):
+    # One plan-sharing group runs whole on one worker: one plan fetch or
+    # construction and one fused selection pass, cold and warm, however many
+    # workers the fleet has.
+    v = rng.integers(0, 2**32, size=1 << 16, dtype=np.uint32)
+    dispatcher = ServiceDispatcher(num_workers=4, result_cache_capacity=0)
+    for ks, constructions in ((range(300, 316), 1), (range(320, 336), 0)):
+        queries = [(k, True) for k in ks]
+        results = dispatcher.dispatch(v, queries)
+        for (k, largest), res in zip(queries, results):
+            assert_topk_correct(res, v, k, largest=largest)
+        report = dispatcher.last_report
+        assert sum(1 for w in report.workers if w.queries) == 1
+        assert report.selection_calls == 1
+        assert report.fused_groups == 1
+        assert report.constructions == constructions
+    dispatcher.shutdown()
 
 
 def test_sharded_route_for_oversized_inputs(uniform_u32):

@@ -443,11 +443,11 @@ class TestSharedBroadcastConcurrency:
         assert _ledger_consistent(bank)
 
     def test_shared_survives_racing_invalidation(self, uniform_u32):
-        """evict-cascade vs in-flight splits: handles stay whole, ledger exact.
+        """evict-cascade vs in-flight holders: handles stay whole, ledger exact.
 
         Queriers fetch a shared handle and answer through it while another
         thread invalidates the fingerprint in a loop — the exact shape of a
-        named-vector eviction racing a split-group broadcast.  No querier
+        named-vector eviction racing a query that holds the plan.  No querier
         may ever observe a half-invalidated plan: every answer must be
         element-wise exact, and the byte ledger must balance after quiesce.
         """

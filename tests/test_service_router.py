@@ -41,55 +41,18 @@ def test_groups_are_never_split_across_workers(router, uniform_u32):
     assert even != odd  # least-loaded placement spreads the two groups
 
 
-def test_batched_units_skip_idle_workers(uniform_u32):
-    # With splitting disabled a single group pins to one worker: one unit,
-    # idle workers emit nothing.
-    router = Router(
-        num_workers=3,
-        capacity_elements=1 << 12,
-        cache=PartitionCache(),
-        split_threshold=None,
-    )
+def test_batched_units_skip_idle_workers(router, uniform_u32):
+    # A single group pins to one worker: one unit, idle workers emit nothing.
     v = uniform_u32[: 1 << 12]
     parsed = [TopKQuery.of(64)] * 4  # one group -> one worker
     workers = [BatchTopK(cache=router.cache) for _ in range(3)]
     units, plan = router.batched_units(v, parsed, workers)
     assert len(units) == 1
     assert units[0].route == "batched"
-    assert plan.groups_split == 0 and not plan.shared_plans
     positions, results, report = units[0].fn()
     assert positions == [0, 1, 2, 3]
     assert len(results) == 4
     assert report.constructions == 1
-
-
-def test_batched_units_split_dominant_group(router, uniform_u32):
-    # Default splitting: one group owning 100% of the work spreads across
-    # the fleet, every unit sharing one broadcast plan — exactly one
-    # construction happens, at broadcast time, none inside the units.
-    v = uniform_u32[: 1 << 12]
-    parsed = [TopKQuery.of(64)] * 4
-    workers = [BatchTopK(cache=router.cache) for _ in range(3)]
-    units, plan = router.batched_units(v, parsed, workers)
-    assert len(units) == 3
-    assert plan.groups_split == 1
-    assert plan.plan_broadcasts == 3  # one shared handle per split
-    assert plan.broadcast_constructions == 1  # no bank: built directly, once
-    (key,) = plan.shared_plans
-    shared = plan.shared_plans[key]
-    all_positions = []
-    for unit in units:
-        assert unit.shares and all(s.split_total == 3 for s in unit.shares)
-        positions, results, report = unit.fn()
-        all_positions.extend(positions)
-        assert report.constructions == 0  # served from the broadcast handle
-        assert report.shared_plan_groups == 1
-        for res in results:
-            np.testing.assert_array_equal(
-                np.sort(res.values), np.sort(np.sort(v)[::-1][:64])
-            )
-    assert sorted(all_positions) == [0, 1, 2, 3]
-    assert shared is not None and not shared.is_degenerate
 
 
 def test_streaming_units_round_robin_and_slicing(router, uniform_u32):
@@ -122,20 +85,12 @@ def test_router_validation():
         Router(num_workers=0, capacity_elements=10, cache=PartitionCache())
     with pytest.raises(ConfigurationError):
         Router(num_workers=1, capacity_elements=0, cache=PartitionCache())
-    for bad in (0.0, -0.5, 1.5):
-        with pytest.raises(ConfigurationError):
-            Router(
-                num_workers=2,
-                capacity_elements=10,
-                cache=PartitionCache(),
-                split_threshold=bad,
-            )
 
 
 class TestPlacementProperties:
     """Property-based placement: randomized batches and fleets, seeded rng.
 
-    The greedy invariants the split decision must never break, checked over
+    The greedy invariants placement must never break, checked over
     randomized group weights (via random ``(k, largest)`` mixes, which the
     Rule-4 resolution turns into groups of very different modelled weights)
     and worker counts.
@@ -149,34 +104,22 @@ class TestPlacementProperties:
         flags = rng.integers(0, 2, size=size).astype(bool)
         return [TopKQuery.of((int(k), bool(f))) for k, f in zip(ks, flags)]
 
-    def _item_weights(self, router, parsed, engine):
-        """Mirror plan_batched's item decomposition (no bank: all cold)."""
+    def _groups(self, router, parsed, engine):
+        """The plan-sharing groups plan_batched places (no bank: all cold)."""
         from repro.service.batch import group_queries_by_plan
 
-        groups = group_queries_by_plan(parsed, self.N, router.cache, engine)
+        return group_queries_by_plan(parsed, self.N, router.cache, engine)
+
+    def _item_weights(self, router, parsed, engine):
+        """Mirror plan_batched's placement items: one weight per group."""
         beta = engine.config.beta
-        weights = []
-        total = 0.0
-        for (alpha, largest), positions in groups.items():
-            ks = [parsed[p].k for p in positions]
-            group_w = router.expected_group_work(self.N, ks, alpha, beta, False)
-            per_query = [
-                router.expected_query_work(self.N, k, alpha, beta) for k in ks
-            ]
-            weights.append((group_w, per_query, len(positions)))
-            total += group_w
-        items = []
-        for group_w, per_query, size in weights:
-            if (
-                router.split_threshold is not None
-                and router.num_workers > 1
-                and size >= 2
-                and group_w > router.split_threshold * total
-            ):
-                items.extend(per_query)
-            else:
-                items.append(group_w)
-        return items, total
+        items = [
+            router.expected_group_work(
+                self.N, [parsed[p].k for p in positions], alpha, beta, False
+            )
+            for (alpha, _), positions in self._groups(router, parsed, engine).items()
+        ]
+        return items, sum(items)
 
     def test_no_worker_exceeds_even_share_plus_one_item(self, rng, uniform_u32):
         v = uniform_u32[: self.N]
@@ -190,18 +133,15 @@ class TestPlacementProperties:
             plan = router.plan_batched(v, parsed, engine)
             items, total = self._item_weights(router, parsed, engine)
             # Greedy least-loaded: whoever holds the most never exceeds the
-            # perfectly even share by more than one placed item.  Split
-            # groups contribute per-query items (their construction is paid
-            # once by the broadcast, not by any one worker's placement).
+            # perfectly even share by more than one placed group.
             placed_total = sum(items)
             bound = placed_total / workers + max(items)
             assert max(plan.loads) <= bound + 1e-6, (
                 f"worst worker {max(plan.loads)} exceeds {bound} "
                 f"({workers} workers, {len(parsed)} queries)"
             )
-            # The loads are exactly the placed item weights, nothing lost,
-            # and the plan's total is the full modelled work incl. splits'
-            # construction.
+            # The loads are exactly the placed group weights, nothing lost,
+            # and the plan's total is the full modelled work.
             assert sum(plan.loads) == pytest.approx(placed_total)
             assert plan.total_weight == pytest.approx(total)
 
@@ -217,17 +157,12 @@ class TestPlacementProperties:
             plan = router.plan_batched(v, parsed, engine)
             placed = sorted(p for positions in plan.placement for p in positions)
             assert placed == list(range(len(parsed)))
-            # Share provenance covers the same positions, once each, and
-            # split_total counts the group's distinct workers.
-            from_shares = sorted(p for s in plan.shares for p in s.positions)
-            assert from_shares == placed
-            by_group = {}
-            for share in plan.shares:
-                by_group.setdefault(share.group, []).append(share)
-            for shares in by_group.values():
-                assert len({s.worker for s in shares}) == len(shares)  # one per worker
-                assert all(s.split_total == len(shares) for s in shares)
-                assert sorted(s.split_index for s in shares) == list(range(len(shares)))
+            # Every plan-sharing group landed whole on one worker.
+            worker_of = {
+                p: w for w, positions in enumerate(plan.placement) for p in positions
+            }
+            for positions in self._groups(router, parsed, engine).values():
+                assert len({worker_of[p] for p in positions}) == 1
 
     def test_placement_is_deterministic(self, rng, uniform_u32):
         v = uniform_u32[: self.N]
@@ -246,9 +181,7 @@ class TestPlacementProperties:
 
             first, second = fresh_plan(), fresh_plan()
             assert first.placement == second.placement
-            assert first.shares == second.shares
             assert first.loads == second.loads
-            assert first.split_min_k == second.split_min_k
 
 
 class TestExpectedWorkGuards:

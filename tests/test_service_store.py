@@ -424,10 +424,10 @@ class TestConcurrentHammer:
     def test_query_racing_evict_admit_keeps_plans_whole(self, rng):
         """Warm queries racing evict/re-admit cascades: answers stay exact.
 
-        Queriers hammer split-group batches against a named vector while a
+        Queriers hammer single-group batches against a named vector while a
         churner evicts and re-admits it (same content) — every eviction
-        cascades invalidation into the plan bank while in-flight splits may
-        hold the broadcast plan.  No query may ever observe a
+        cascades invalidation into the plan bank while in-flight queries may
+        hold the banked plan.  No query may ever observe a
         half-invalidated plan: a query either fails with the documented
         "no vector named" error (evicted between admit cycles — legal) or
         returns element-wise exact answers.  After quiesce every cache's
@@ -445,8 +445,7 @@ class TestConcurrentHammer:
                 try:
                     for i in range(15):
                         k = ks[i % len(ks)]
-                        # 4 identical queries: a 100%-dominant group, so the
-                        # batched route splits it and broadcasts the plan.
+                        # 4 identical queries: one plan-sharing group.
                         try:
                             results = d.query("hot", [(k, True)] * 4)
                         except ConfigurationError:
