@@ -1,20 +1,13 @@
-"""Service layer — multi-tenant fairness and noisy-neighbour acceptance.
+"""Service layer — multi-tenant isolation and quota acceptance.
 
 Not a paper figure: this benchmark holds the line on the tenancy contract.
-The ``tenantfair`` experiment runs a hot tenant (weight 4, its own byte
-budget) against a quiet tenant (weight 1, one pinned vector) through three
-load phases plus two invariant probes.  The acceptance criteria:
+The ``tenantfair`` experiment runs a hot tenant (its own byte budget)
+against a quiet tenant (its own byte budget, one pinned vector) through
+three invariant probes.  The acceptance criteria:
 
-* **contended** (hot floods ~2x capacity, quiet trickles below its share):
-  the quiet tenant sheds nothing, hits no quota, and every quiet request
-  is answered — the weighted carve of the queue is its own;
-* **overload** (both flood at a combined ~2x capacity, arrival mix
-  deliberately off the weights): each tenant's attained share of the
-  answered work lands within 0.15 of its configured share — the
-  deficit-round-robin weights, not the arrival mix, decide service;
-* **isolation** (everywhere, including after fresh hot admissions overflow
-  hot's byte budget): zero cross-tenant evictions and the quiet tenant's
-  pinned vector stays resident;
+* **isolation** (in every row, including after fresh hot admissions
+  overflow hot's byte budget): zero cross-tenant evictions and the quiet
+  tenant's pinned vector stays resident;
 * **quota**: under an injected fake clock the token bucket admits exactly
   ``burst`` queries, rejects the rest, and refills exactly ``rate x
   elapsed`` on clock advance;
@@ -23,14 +16,11 @@ load phases plus two invariant probes.  The acceptance criteria:
   warm, batched and streaming) — the default tenant pays zero behaviour
   change for the tenancy machinery.
 
-Wall-clock is recorded but deliberately un-gated — the contract is shares,
-counts and bit-exactness, which are deterministic per seed on any host.
+Every recorded column is a count or a flag, deterministic per seed.
 """
 
 from benchmarks.conftest import scaled
 from repro.harness import experiments
-
-SHARE_TOLERANCE = 0.15
 
 
 def test_tenantfair_shares_quota_and_isolation(benchmark, record_rows):
@@ -43,45 +33,13 @@ def test_tenantfair_shares_quota_and_isolation(benchmark, record_rows):
     by_phase = {}
     for row in rows:
         by_phase.setdefault(row["phase"], {})[row["tenant"]] = row
-    assert set(by_phase) == {
-        "solo",
-        "contended",
-        "overload",
-        "pressure",
-        "quota",
-        "differential",
-    }
+    assert set(by_phase) == {"pressure", "quota", "differential"}
 
     # Isolation invariants hold in every row, every phase: no tenant ever
     # evicted another's vector, and the quiet pin never left residency.
     for row in rows:
         assert row["cross_tenant_evictions"] == 0, f"{row['phase']}: cross-tenant eviction"
         assert row["pinned_resident"], f"{row['phase']}: quiet pinned vector evicted"
-
-    # Solo: the quiet baseline answers everything.
-    solo = by_phase["solo"]["quiet"]
-    assert solo["ok"] == solo["requests"] > 0
-    assert solo["shed"] == 0 and solo["quota"] == 0
-
-    # Contended: a flooding neighbour cannot starve a tenant running below
-    # its weighted share — quiet sheds nothing and answers everything.
-    quiet = by_phase["contended"]["quiet"]
-    assert quiet["requests"] > 0
-    assert quiet["shed"] == 0, "quiet tenant shed under a noisy neighbour"
-    assert quiet["quota"] == 0
-    assert quiet["ok"] == quiet["requests"], "quiet tenant starved"
-    hot = by_phase["contended"]["hot"]
-    assert hot["shed"] > 0, "hot tenant never saturated its carve (load too light)"
-
-    # Overload: attained shares converge to the configured 4:1 weights even
-    # though the arrival mix is deliberately different.
-    for tenant in ("hot", "quiet"):
-        row = by_phase["overload"][tenant]
-        assert row["shed"] > 0, f"{tenant} not backlogged (weights untested)"
-        assert row["share_err"] <= SHARE_TOLERANCE, (
-            f"{tenant}: attained {row['attained_share']:.3f} vs "
-            f"configured {row['configured_share']:.3f}"
-        )
 
     # Pressure: hot overflowed its own budget; the ledgers stayed split.
     assert by_phase["pressure"]["hot"]["bytes_held"] > 0

@@ -336,8 +336,8 @@ class MultiGpuDrTopK:
             memoising the per-shard ``(n, k) → alpha`` resolution.
         executor:
             Optional :class:`~repro.service.executor.ServiceExecutor`; when
-            given, each GPU's shard work runs as one work unit so the fleet
-            genuinely overlaps.  ``None`` runs GPUs sequentially in-process.
+            given, each GPU's shard work runs as one work unit on its pool.
+            ``None`` runs GPUs sequentially in-process.
         plan_bank:
             Optional :class:`~repro.service.planbank.PlanBank` keyed by
             *per-shard* fingerprints: a later batch over the same vector

@@ -35,17 +35,6 @@ class CommunicationError(ReproError, RuntimeError):
     """A simulated inter-GPU communication primitive was misused."""
 
 
-class RequestShedError(ReproError, RuntimeError):
-    """A request was rejected by admission control at saturation.
-
-    Raised (and counted) by the load harness when the serving queue is full
-    and the configured policy sheds instead of blocking the arrival loop; a
-    ``degrade`` policy converts it into a result-cache-only answer when one
-    exists.  Typed so callers can distinguish overload rejections from
-    configuration mistakes or capacity violations.
-    """
-
-
 class TenantQuotaError(ReproError, RuntimeError):
     """A tenant exceeded one of its registered policy limits.
 
@@ -54,6 +43,6 @@ class TenantQuotaError(ReproError, RuntimeError):
     tenant's byte budget, QPS token bucket, or pin allowance — or would
     touch another tenant's slice (evicting or unpinning a vector the caller
     does not own).  Always raised *before* any store mutation, so a rejected
-    admission leaves no half-admitted state; the load harness counts these
-    per tenant as ``quota`` outcomes, distinct from saturation sheds.
+    admission leaves no half-admitted state; the registry counts these per
+    tenant (:meth:`~repro.service.tenancy.TenantRegistry.rejections`).
     """

@@ -52,7 +52,6 @@ __all__ = [
     "hotpath_reuse",
     "multivector_serving",
     "hotfuse",
-    "loadgen_slo",
     "spillwarm",
 ]
 
@@ -89,9 +88,8 @@ _Experiment = TypeVar("_Experiment", bound=Callable[..., List[Dict]])
 def measured(*columns: str) -> Callable[[_Experiment], _Experiment]:
     """Name an experiment's measured host-time columns.
 
-    Wall-clocks, and the counts the load model derives from them, differ on
-    every run; the rest of a row (modelled bytes and milliseconds, counters)
-    is deterministic.  The names land on the runner as ``measured_columns``
+    Wall-clocks differ on every run; the rest of a row (modelled bytes and
+    milliseconds, counters) is deterministic.  The names land on the runner as ``measured_columns``
     so a recorder can persist only the reproducible columns.
     """
 
@@ -1201,125 +1199,6 @@ def multivector_serving(
     return rows
 
 
-@measured(
-    "ok",
-    "shed",
-    "degraded",
-    "p50_ms",
-    "p95_ms",
-    "p99_ms",
-    "queue_p50_ms",
-    "queue_p95_ms",
-    "queue_p99_ms",
-    "mean_service_ms",
-    "slo_attainment",
-    "throughput_rps",
-)
-def loadgen_slo(
-    n: int = 1 << 14,
-    requests: int = 160,
-    num_workers: int = 4,
-    queue_capacity: int = 4,
-    underload_rps: float = 2.0,
-    overload_rps: float = 20000.0,
-    dataset: str = "UD",
-    seed: int = DEFAULT_SEED,
-    export_dir: Optional[str] = None,
-) -> List[Dict]:
-    """Tail latency and admission control under production-shaped traffic.
-
-    Drives one :class:`~repro.service.dispatcher.ServiceDispatcher` (three
-    hot batched names, one sharded name, one streaming payload; Zipfian
-    popularity, mixed ``k``) through three load phases with the
-    :class:`~repro.service.loadgen.LoadHarness`:
-
-    * ``underload`` — open-loop Poisson at ``underload_rps``: inter-arrival
-      gaps are orders of magnitude above the millisecond-scale service
-      times, so the bounded queue never fills and **no** request is shed or
-      degraded.  The sanity phase: admission control must be invisible when
-      there is headroom.
-    * ``overload`` — open-loop Poisson at ``overload_rps``, far beyond the
-      single server's capacity, under the ``degrade`` policy: the queue
-      model saturates, batched/sharded arrivals fall back to warm
-      result-cache answers and streaming arrivals (nothing cacheable) shed,
-      so ``shed + degraded > 0`` while the arrival loop never blocks.
-    * ``closed`` — ``num_workers`` closed-loop users with a small think
-      time: offered load self-regulates, the gate the open-loop phases are
-      contrasted against.
-
-    Per-request latency is queue wait (FIFO model over the measured service
-    times) plus the measured dispatch wall-clock; the per-unit executor
-    measurements ride along in the samples.  One row per (phase, route)
-    plus a per-phase ``all`` aggregate; ``export_dir`` (optional) addition-
-    ally writes ``loadgen.prom`` / ``loadgen.csv`` with every phase's
-    Prometheus series and rows.  No wall-clock column is gated — the
-    shed/degrade counts and percentile *orderings* are deterministic per
-    seed, the millisecond values are host-dependent.
-    """
-    from pathlib import Path
-
-    from repro.service.dispatcher import ServiceDispatcher
-    from repro.service.loadgen import LoadHarness, PoissonArrivals, RequestProfile
-
-    if requests < 10:
-        raise ConfigurationError("requests must be >= 10 for stable percentiles")
-
-    rng = np.random.default_rng(seed)
-    warm_mix = [(8, True), (16, True)]
-    with ServiceDispatcher(
-        num_workers=num_workers,
-        capacity_elements=n,
-        queue_capacity=queue_capacity,
-    ) as dispatcher:
-        for name in ("hot", "warm", "cold"):
-            dispatcher.admit(name, _dataset_vector(dataset, n, seed), warm=warm_mix)
-            seed += 1
-        wide = np.concatenate([_dataset_vector(dataset, n, seed + i) for i in range(4)])
-        dispatcher.admit("wide", wide, warm=warm_mix)
-        streams = {"ticks": [rng.standard_normal(n // 4).astype(np.float32) for _ in range(4)]}
-        profiles = [
-            RequestProfile(route="batched", names=("hot", "warm", "cold"), ks=(8, 16), weight=3.0),
-            RequestProfile(route="sharded", names=("wide",), ks=(8, 16)),
-            RequestProfile(route="streaming", names=("ticks",), ks=(8,)),
-        ]
-
-        def harness(policy: str) -> LoadHarness:
-            return LoadHarness(
-                dispatcher,
-                profiles,
-                streams=streams,
-                queue_capacity=queue_capacity,
-                policy=policy,
-                seed=seed,
-            )
-
-        underload = harness("shed").run_open(
-            PoissonArrivals(underload_rps, seed=seed), requests // 4
-        )
-        overload = harness("degrade").run_open(
-            PoissonArrivals(overload_rps, seed=seed), requests
-        )
-        closed = harness("shed").run_closed(
-            concurrency=num_workers, requests=requests // 4, think_seconds=0.001
-        )
-        reports = [("underload", underload), ("overload", overload), ("closed", closed)]
-
-    rows: List[Dict] = []
-    for phase, report in reports:
-        for row in report.to_rows():
-            rows.append({"phase": phase, **row})
-
-    if export_dir is not None:
-        from repro.harness.reporting import rows_to_csv
-
-        out = Path(export_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        prom = "".join(r.to_prometheus(labels={"phase": phase}) for phase, r in reports)
-        (out / "loadgen.prom").write_text(prom)
-        (out / "loadgen.csv").write_text(rows_to_csv(rows) + "\n")
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # Service layer — fused group execution: one selection pass per plan group
 # ---------------------------------------------------------------------------
@@ -1644,43 +1523,26 @@ def spillwarm(
 
 
 # ---------------------------------------------------------------------------
-# Service layer — multi-tenant serving: fairness and the noisy-neighbour proof
+# Service layer — multi-tenant serving: isolation, quotas and the default tenant
 # ---------------------------------------------------------------------------
 
 
 def tenantfair(
     n: int = 1 << 13,
-    requests: int = 200,
     num_workers: int = 2,
-    queue_capacity: int = 10,
-    hot_weight: float = 4.0,
     dataset: str = "UD",
     seed: int = DEFAULT_SEED,
 ) -> List[Dict]:
-    """Noisy-neighbour isolation under weighted-fair multi-tenant serving.
+    """Noisy-neighbour isolation and quota enforcement for two tenants.
 
-    Two tenants share one dispatcher: ``hot`` (scheduling weight
-    ``hot_weight``, its own byte budget) floods the service, ``quiet``
-    (weight 1, its own byte budget, one **pinned** vector) offers a light
-    trickle.  Three load phases plus two invariant probes, one row per
-    (phase, tenant):
+    Two tenants share one dispatcher: ``hot`` (its own byte budget) and
+    ``quiet`` (its own byte budget, one **pinned** vector).  Three invariant
+    probes, one row per (probe, tenant):
 
-    * ``solo`` — the quiet tenant alone at a low open-loop rate: its
-      baseline, and the calibration for the overload rates (arrival rates
-      are derived from the *measured* mean service time, so "2x capacity"
-      means 2x on any host).
-    * ``contended`` — hot floods at ~2x capacity while quiet keeps its
-      light trickle.  Gated: the quiet tenant sheds **nothing** (its
-      weight-proportional carve of the queue is its own), hits no quota,
-      and every quiet request is answered.
-    * ``overload`` — both tenants flood at a combined ~2x capacity.  Gated:
-      each tenant's ``attained_share`` of the answered work lands within
-      0.15 of its ``configured_share`` (4:1 by default) — the
-      deficit-round-robin weights bite exactly when both keep backlog.
-    * ``pressure`` — after the phases, a burst of *new* hot admissions
-      overflows hot's byte budget.  Gated: every eviction victim is hot's
-      own (``cross_tenant_evictions == 0``) and quiet's pinned vector is
-      still resident.
+    * ``pressure`` — a burst of hot admissions overflows hot's byte
+      budget.  Gated: every eviction victim is hot's own
+      (``cross_tenant_evictions == 0``) and quiet's pinned vector is still
+      resident.
     * ``quota`` — a separate registry with an injected fake clock proves
       the QPS token bucket deterministically: burst-deep queries pass,
       the next is rejected with zero half-admitted state, and advancing
@@ -1690,25 +1552,18 @@ def tenantfair(
       element-wise ``identical`` (values *and* indices): the default
       tenant pays zero behaviour change for the tenancy machinery.
 
-    No raw-millisecond column is gated — shares, shed/quota counts,
-    eviction counts and residency are deterministic per seed; the
-    millisecond columns ride along for observability only.
+    Every column is a count or a flag, deterministic per seed.
     """
     from repro.errors import TenantQuotaError
     from repro.service.dispatcher import ServiceDispatcher
-    from repro.service.loadgen import LoadHarness, PoissonArrivals, RequestProfile
     from repro.service.tenancy import TenantPolicy, TenantRegistry
 
-    if requests < 40:
-        raise ConfigurationError("requests must be >= 40 for stable shares")
-
-    vectors = {f"hot-{i}": _dataset_vector(dataset, n, seed + i) for i in range(4)}
     quiet_vec = _dataset_vector(dataset, n, seed + 99)
     one = quiet_vec.nbytes
     registry = TenantRegistry(
         policies=[
-            TenantPolicy(tenant="hot", weight=float(hot_weight), byte_budget=3 * one),
-            TenantPolicy(tenant="quiet", weight=1.0, byte_budget=2 * one, max_pins=1),
+            TenantPolicy(tenant="hot", byte_budget=3 * one),
+            TenantPolicy(tenant="quiet", byte_budget=2 * one, max_pins=1),
         ]
     )
     rows: List[Dict] = []
@@ -1719,13 +1574,7 @@ def tenantfair(
             "tenant": tenant,
             "requests": 0,
             "ok": 0,
-            "shed": 0,
             "quota": 0,
-            "configured_share": 0.0,
-            "attained_share": 0.0,
-            "share_err": 0.0,
-            "p95_queue_ms": 0.0,
-            "mean_service_ms": 0.0,
             "bytes_held": 0,
             "cross_tenant_evictions": 0,
             "pinned_resident": True,
@@ -1734,122 +1583,33 @@ def tenantfair(
         base.update(extra)
         rows.append(base)
 
-    warm = [(8, True)]
     with ServiceDispatcher(
         num_workers=num_workers,
         capacity_elements=n,
-        queue_capacity=queue_capacity,
         result_cache_capacity=0,
         store_bytes=8 * one,
         tenants=registry,
     ) as d:
         assert d.store is not None
-        d.admit("quiet-pin", quiet_vec, tenant="quiet", pin=True, warm=warm)
-        for name, v in vectors.items():
-            d.admit(name, v, tenant="hot", warm=warm)
-        hot_names = tuple(m for m in d.store.names() if m.startswith("hot-"))
-
-        def tenant_rows(phase: str, report) -> None:
-            mean_ms = report.route_stats("all").mean_service_ms
-            for t in report.tenants:
-                row(
-                    phase,
-                    t.tenant,
-                    requests=t.requests,
-                    ok=t.ok,
-                    shed=t.shed,
-                    quota=t.quota,
-                    configured_share=t.configured_share,
-                    attained_share=t.attained_share,
-                    share_err=abs(t.attained_share - t.configured_share),
-                    p95_queue_ms=_percentile_of(report, t.tenant),
-                    mean_service_ms=mean_ms,
-                    bytes_held=t.bytes_held,
-                    cross_tenant_evictions=d.store.cross_tenant_evictions(),
-                    pinned_resident="quiet-pin" in d.store.names(),
-                )
-
-        def _percentile_of(report, tenant: str) -> float:
-            waits = [
-                s.queue_wait_ms
-                for s in report.samples
-                if s.tenant == tenant and s.outcome == "ok"
-            ]
-            if not waits:
-                return 0.0
-            return float(np.percentile(np.asarray(waits), 95))
-
-        quiet_profile = RequestProfile(
-            route="batched", names=("quiet-pin",), ks=(8,), tenant="quiet"
-        )
-        # Hot takes 15/16 of arrivals in the contended phase, leaving quiet
-        # ~0.125x capacity — safely below its 0.2 weighted share, so any
-        # quiet shed there would be a genuine fairness failure.
-        hot_profile = RequestProfile(
-            route="batched", names=hot_names, ks=(8,), weight=15.0, tenant="hot"
-        )
-
-        # solo: the quiet baseline, and the service-time calibration.
-        solo = LoadHarness(
-            d, [quiet_profile], queue_capacity=queue_capacity, policy="shed", seed=seed
-        ).run_open(PoissonArrivals(20.0, seed=seed), max(10, requests // 8))
-        tenant_rows("solo", solo)
-        mean_ms = solo.route_stats("all").mean_service_ms
-        capacity_rps = 1e3 / mean_ms if mean_ms > 0 else 1e3
-
-        # contended: hot floods ~2x capacity, quiet trickles below its share.
-        contended = LoadHarness(
-            d,
-            [quiet_profile, hot_profile],
-            queue_capacity=queue_capacity,
-            policy="shed",
-            seed=seed + 1,
-        ).run_open(PoissonArrivals(2.0 * capacity_rps, seed=seed + 1), requests)
-        tenant_rows("contended", contended)
-
-        # overload: both flood; shares must converge to the weights.
-        overload = LoadHarness(
-            d,
-            [
-                RequestProfile(
-                    route="batched",
-                    names=("quiet-pin",),
-                    ks=(8,),
-                    weight=5.0,
-                    tenant="quiet",
-                ),
-                hot_profile,
-            ],
-            queue_capacity=queue_capacity,
-            policy="shed",
-            seed=seed + 2,
-        ).run_open(PoissonArrivals(2.0 * capacity_rps, seed=seed + 2), requests)
-        tenant_rows("overload", overload)
-
-        # pressure: fresh hot admissions overflow hot's budget; every victim
-        # must be hot's own and the quiet pin must survive.
-        for i in range(4, 8):
+        d.admit("quiet-pin", quiet_vec, tenant="quiet", pin=True)
+        # pressure: eight hot admissions overflow hot's three-vector budget;
+        # every victim must be hot's own and the quiet pin must survive.
+        for i in range(8):
             d.admit(f"hot-{i}", _dataset_vector(dataset, n, seed + i), tenant="hot")
         ledger = d.store.tenant_bytes()
-        row(
-            "pressure",
-            "hot",
-            bytes_held=ledger.get("hot", 0),
-            cross_tenant_evictions=d.store.cross_tenant_evictions(),
-            pinned_resident="quiet-pin" in d.store.names(),
-        )
-        row(
-            "pressure",
-            "quiet",
-            bytes_held=ledger.get("quiet", 0),
-            cross_tenant_evictions=d.store.cross_tenant_evictions(),
-            pinned_resident="quiet-pin" in d.store.names(),
-        )
+        for tenant in ("hot", "quiet"):
+            row(
+                "pressure",
+                tenant,
+                bytes_held=ledger.get(tenant, 0),
+                cross_tenant_evictions=d.store.cross_tenant_evictions(),
+                pinned_resident="quiet-pin" in d.store.names(),
+            )
 
     # quota: deterministic token-bucket proof on an injected fake clock.
     clock_now = [0.0]
     quota_registry = TenantRegistry(
-        policies=[TenantPolicy(tenant="hot", weight=1.0, qps=2.0, burst=2)],
+        policies=[TenantPolicy(tenant="hot", qps=2.0, burst=2)],
         clock=lambda: clock_now[0],
     )
     with ServiceDispatcher(

@@ -54,17 +54,13 @@ _EXPERIMENTS: Dict[str, Tuple[Callable[..., List[dict]], str]] = {
         experiments.hotfuse,
         "fused vs per-query group selection, cold and warm",
     ),
-    "loadgen": (
-        experiments.loadgen_slo,
-        "tail latency, queue wait and admission control under generated load",
-    ),
     "spillwarm": (
         experiments.spillwarm,
         "out-of-core serving over the spill tier and zero-rescan warm restart",
     ),
     "tenantfair": (
         experiments.tenantfair,
-        "multi-tenant fairness, quota enforcement and noisy-neighbour isolation",
+        "multi-tenant quota enforcement and noisy-neighbour isolation",
     ),
 }
 

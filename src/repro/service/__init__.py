@@ -54,25 +54,14 @@ caching instead of owning private loops:
   derived exactly (values *and* indices identical to the per-query path);
   its thread-local :class:`~repro.service.fusion.ScratchArena` pools the
   hot path's gather/filter temporaries across dispatches.
-* :class:`~repro.service.loadgen.LoadHarness` — production-shaped traffic
-  against the dispatcher: seeded open-loop arrival processes
-  (:class:`~repro.service.loadgen.PoissonArrivals` /
-  :class:`~repro.service.loadgen.BurstyArrivals` /
-  :class:`~repro.service.loadgen.DiurnalArrivals`) and closed-loop users,
-  Zipfian popularity over admitted names, per-request latency and
-  queue-wait percentiles with SLO attainment in a
-  :class:`~repro.service.loadgen.LoadReport`, and shed/degrade admission
-  control that keeps the arrival loop non-blocking at saturation.
 * :mod:`~repro.service.tenancy` — multi-tenant serving:
   :class:`~repro.service.tenancy.TenantRegistry` holds per-tenant
   :class:`~repro.service.tenancy.TenantPolicy` rows (byte budget, QPS
-  quota via a seeded :class:`~repro.service.tenancy.TokenBucket`,
-  scheduling weight, pin allowance) and threads through the whole core:
-  the store partitions its byte budget into per-tenant ledgers (eviction
-  victims come only from the requesting tenant's slice), the executor
-  schedules units by weighted deficit-round-robin
-  (:class:`~repro.service.tenancy.WeightedFairQueue`), and the dispatcher
-  charges QPS and enforces ownership.  An unconfigured dispatcher keeps
+  quota via a seeded :class:`~repro.service.tenancy.TokenBucket`, pin
+  allowance) and threads through the whole core: the store partitions its
+  byte budget into per-tenant ledgers (eviction victims come only from the
+  requesting tenant's slice), the executor counts units per tenant, and
+  the dispatcher charges QPS and enforces ownership.  An unconfigured dispatcher keeps
   the single-tenant behaviour bit-for-bit.
 * :class:`~repro.service.scrubber.SpillScrubber` — continuous bit-rot
   detection for the spill tier: re-hashes every unique data file against
@@ -110,18 +99,6 @@ from repro.service.fusion import (
     reset_arenas,
     thread_arena,
 )
-from repro.service.loadgen import (
-    BurstyArrivals,
-    DiurnalArrivals,
-    LoadHarness,
-    LoadReport,
-    LoadSample,
-    PoissonArrivals,
-    RequestProfile,
-    RouteStats,
-    TenantStats,
-    ZipfPopularity,
-)
 from repro.service.planbank import ChunkMemo, PlanBank
 from repro.service.scrubber import ScrubReport, SpillScrubber
 from repro.service.tenancy import (
@@ -129,7 +106,6 @@ from repro.service.tenancy import (
     TenantPolicy,
     TenantRegistry,
     TokenBucket,
-    WeightedFairQueue,
 )
 from repro.service.router import BatchedPlan, Router
 from repro.service.spill import SpillDirectory, SpillEntry, SpillInfo
@@ -192,21 +168,10 @@ __all__ = [
     "thread_arena",
     "arena_info",
     "reset_arenas",
-    "LoadHarness",
-    "LoadReport",
-    "LoadSample",
-    "RouteStats",
-    "TenantStats",
-    "RequestProfile",
-    "PoissonArrivals",
-    "BurstyArrivals",
-    "DiurnalArrivals",
-    "ZipfPopularity",
     "DEFAULT_TENANT",
     "TenantPolicy",
     "TenantRegistry",
     "TokenBucket",
-    "WeightedFairQueue",
     "SpillScrubber",
     "ScrubReport",
 ]

@@ -184,8 +184,7 @@ class DispatchReport:
     unit_wall_ms_sum: float = 0.0
     #: Measured submit-to-start queue waits of this dispatch's work units —
     #: the sum over units and the single worst unit.  Non-zero waits mean the
-    #: executor's bounded queue (or its pool) delayed work; the load harness
-    #: samples these next to its own arrival-queue waits.
+    #: executor's bounded queue (or its pool) delayed work.
     unit_queue_ms_sum: float = 0.0
     max_unit_queue_ms: float = 0.0
     backpressure_waits: int = 0
@@ -274,8 +273,10 @@ class ServiceDispatcher:
     gpus_per_node / comm_cost:
         Interconnect topology and cost model for the result gather.
     execution:
-        ``"threads"`` (default) overlaps work units on the executor's pool;
-        ``"sequential"`` runs them inline — the measured baseline.
+        ``"threads"`` (default) runs work units on the executor's pool,
+        where they overlap only inside NumPy's GIL-free kernels and
+        otherwise time-slice on the GIL; ``"sequential"`` runs them inline —
+        the measured baseline.
     queue_capacity:
         Bound on in-flight work units (backpressure); defaults to
         ``2 * num_workers``.
@@ -307,10 +308,10 @@ class ServiceDispatcher:
         Optional :class:`~repro.service.tenancy.TenantRegistry` turning the
         serving core multi-tenant: the store partitions its working set into
         per-tenant byte ledgers (eviction victims only from the requesting
-        tenant's slice), the executor weights its deficit-round-robin
-        scheduler by tenant, :meth:`query` charges each tenant's QPS token
-        bucket, and :meth:`evict`/:meth:`pin`/:meth:`unpin` enforce
-        ownership for non-default tenants.  ``None`` (default) keeps the
+        tenant's slice), the executor counts units per tenant,
+        :meth:`query` charges each tenant's QPS token bucket, and
+        :meth:`evict`/:meth:`pin`/:meth:`unpin` enforce ownership for
+        non-default tenants.  ``None`` (default) keeps the
         single-tenant behaviour bit-for-bit.
     """
 
@@ -403,7 +404,6 @@ class ServiceDispatcher:
             max_workers=self.num_workers,
             queue_capacity=queue_capacity,
             mode=execution,
-            tenants=tenants,
         )
         self.router = Router(
             num_workers=self.num_workers,
@@ -430,10 +430,9 @@ class ServiceDispatcher:
         and ``shard_fingerprints`` (when the caller already fingerprinted
         ``v`` — the named-vector :meth:`query` path) are trusted as-is and
         suppress the per-dispatch hashing; pass them only for content they
-        actually describe.  ``tenant`` labels the report and, with a
-        :class:`~repro.service.tenancy.TenantRegistry` configured, schedules
-        the dispatch's work units under that tenant's fair-share weight; no
-        quota is charged here (:meth:`query` charges QPS before dispatching).
+        actually describe.  ``tenant`` labels the report and attributes the
+        dispatch's work units to that tenant; no quota is charged here
+        (:meth:`query` charges QPS before dispatching).
         """
         parsed = [TopKQuery.of(q) for q in queries]
         report = DispatchReport(
@@ -609,9 +608,9 @@ class ServiceDispatcher:
         With a :class:`~repro.service.tenancy.TenantRegistry` configured,
         ``tenant`` is charged one QPS token per query *before* any dispatch
         work starts — a rejected burst raises
-        :class:`~repro.errors.TenantQuotaError` with zero half-served state —
-        and the dispatch's work units are scheduled under the tenant's
-        fair-share weight.
+        :class:`~repro.errors.TenantQuotaError` with zero half-served state.
+        A batch with more queries than the tenant's ``burst`` can never pass
+        and raises :class:`~repro.errors.ConfigurationError` instead.
         """
         if isinstance(queries, (int, np.integer, tuple, TopKQuery)):
             queries = [queries]
@@ -646,27 +645,6 @@ class ServiceDispatcher:
         self.store.note_queries(name, len(results))
         self.router.note_queries(entry.fingerprint, len(results), tenant=tenant)
         return results
-
-    def query_cached(self, name: str, queries: Sequence[QueryLike]) -> List[Optional[TopKResult]]:
-        """Result-cache-only answers for an admitted name — the degrade path.
-
-        Unlike :meth:`query`, nothing is dispatched: each query is looked up
-        in the :class:`~repro.service.cache.ResultCache` under the admitted
-        entry's pinned fingerprint and the answer is returned as-is, or
-        ``None`` on a miss (every position is ``None`` when the result cache
-        is disabled).  The call never touches the router or the executor, so
-        it stays cheap and non-blocking even while the serving queue is
-        saturated — exactly what an admission policy needs to *degrade* a
-        request instead of shedding it outright.  Returned results are the
-        cached objects themselves; treat them as read-only.
-        """
-        entry = self._stored(name)
-        if isinstance(queries, (int, np.integer, tuple, TopKQuery)):
-            queries = [queries]
-        parsed = [TopKQuery.of(q) for q in queries]
-        if self.results_cache is None:
-            return [None] * len(parsed)
-        return [self.results_cache.get(entry.fingerprint, q.k, q.largest) for q in parsed]
 
     def evict(
         self, name: str, spill: Optional[bool] = None, tenant: str = DEFAULT_TENANT

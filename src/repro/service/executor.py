@@ -7,11 +7,12 @@ the fleet GPU by GPU, and streaming consumed chunks one engine at a time —
 is the one place work actually runs now.  Routes describe their work as
 :class:`WorkUnit`\\ s (a closure plus placement metadata) and submit the whole
 set; the executor runs them on a ``concurrent.futures.ThreadPoolExecutor``
-(NumPy releases the GIL inside its kernels, so units genuinely overlap on
-multi-core hosts) behind a **bounded submission queue**: at most
-``queue_capacity`` units are in flight across every concurrent run and
-further submissions block, which is the backpressure that lets the service
-layer absorb bursty traffic without unbounded memory growth.
+behind a **bounded submission queue**: at most ``queue_capacity`` units are
+in flight across every concurrent run and further submissions block, which
+is the backpressure that lets the service layer absorb bursty traffic
+without unbounded memory growth.  Units overlap only inside NumPy's GIL-free
+kernels; the Python around them time-slices on the GIL, so measured unit
+walls under threads sum to 2-3x their sequential walls.
 
 Every run measures real wall-clock time per unit and end to end, so the
 ``async_service`` experiment can put *measured* time next to the modelled
@@ -19,14 +20,15 @@ Every run measures real wall-clock time per unit and end to end, so the
 runs the same units in submission order on the calling thread — the baseline
 threads mode is measured against, and a determinism escape hatch for tests.
 
-Scheduling is **weighted deficit-round-robin** over per-tenant queues:
-every concurrent :meth:`ServiceExecutor.run` pushes its units into one
-shared fair queue, the bounded in-flight capacity is executor-wide, and each
-freed slot goes to the DRR-next unit across *all* tenants — a producer may
-submit another tenant's unit and wait for its own.  A
-:class:`~repro.service.tenancy.TenantRegistry` only sets the weights; without
-one every tenant weighs 1.0, and with a single tenant DRR pops in exact FIFO
-order.
+Slots are handed out without tenant weights: each :meth:`ServiceExecutor.run`
+acquires one executor-wide slot per unit and submits its own unit, so
+concurrent runs share the pool in the order their producers win a slot.
+Weighted shares are not offered: a deficit-round-robin queue in front of the
+slot can only divide service among *queued* units, and with every blocked
+producer queueing one unit at a time, 4:1 weights measured a 0.52 share
+against 0.51 without them (gated one-worker executor, 2-vCPU host).  Runs
+are still attributed to the tenant of the surrounding
+:meth:`ServiceExecutor.tenant_context`.
 """
 
 from __future__ import annotations
@@ -35,11 +37,11 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.service.tenancy import DEFAULT_TENANT, TenantRegistry, WeightedFairQueue
+from repro.service.tenancy import DEFAULT_TENANT
 
 __all__ = [
     "WorkUnit",
@@ -72,23 +74,6 @@ class WorkUnit:
     fn: Callable[[], Any]
     worker: int = 0
     route: str = ""
-
-
-@dataclass
-class _FairItem:
-    """One queued unit inside the shared weighted-fair queue.
-
-    ``ready`` is set by whichever producer submits the item (possibly a
-    different tenant's ``run``); the owning producer waits on it before
-    collecting ``future``.  ``pushed_at`` anchors queue-wait measurement to
-    the moment the unit entered the fair queue, so DRR hold time is part of
-    the measured wait.
-    """
-
-    unit: WorkUnit
-    pushed_at: float
-    ready: threading.Event = field(default_factory=threading.Event)
-    future: Optional[Future] = None
 
 
 @dataclass
@@ -146,11 +131,6 @@ class ServiceExecutor:
     mode:
         ``"threads"`` (the default) runs units on the pool; ``"sequential"``
         runs them inline in submission order, for baselines and determinism.
-    tenants:
-        Optional :class:`~repro.service.tenancy.TenantRegistry` supplying the
-        per-tenant weights of the deficit-round-robin scheduler (see the
-        module docstring); without one every tenant weighs 1.0.  Sequential
-        mode keeps its submission-order semantics.
     """
 
     def __init__(
@@ -158,7 +138,6 @@ class ServiceExecutor:
         max_workers: int = 4,
         queue_capacity: Optional[int] = None,
         mode: str = "threads",
-        tenants: Optional[TenantRegistry] = None,
     ) -> None:
         if mode not in EXECUTION_MODES:
             raise ConfigurationError(
@@ -173,24 +152,16 @@ class ServiceExecutor:
         if self.queue_capacity < 1:
             raise ConfigurationError("queue_capacity must be positive")
         self.mode = mode
-        self.tenants = tenants
         self.last_report: Optional[ExecutorReport] = None
         self._pool: Optional[ThreadPoolExecutor] = None
         self._lock = threading.Lock()
         self._in_flight = 0
         self._tls = threading.local()
-        # The shared DRR queue under its own scheduler lock (never nested
-        # with self._lock), the executor-wide slot semaphore, and cumulative
-        # per-tenant counters guarded by self._lock.
-        self._sched_lock = threading.Lock()
-        self._fair: WeightedFairQueue[_FairItem] = WeightedFairQueue(self._weight_of)
+        # The executor-wide slot semaphore, and per-tenant counters guarded
+        # by self._lock.
         self._slots = threading.Semaphore(self.queue_capacity)
         self._tenant_in_flight: Dict[str, int] = {}
         self._tenant_units: Dict[str, int] = {}
-
-    def _weight_of(self, tenant: str) -> float:
-        """Scheduling weight of one tenant (1.0 without a registry)."""
-        return self.tenants.weight(tenant) if self.tenants is not None else 1.0
 
     # -- per-tenant probes -----------------------------------------------------
     def in_flight_for(self, tenant: str) -> int:
@@ -211,8 +182,8 @@ class ServiceExecutor:
         """Attribute every :meth:`run` on this thread to ``tenant``.
 
         The dispatcher wraps route execution in this so code that calls
-        ``executor.run(units)`` (the multi-GPU fleet, the routes) schedules
-        under the requesting tenant's identity.  Thread-local, re-entrant,
+        ``executor.run(units)`` (the multi-GPU fleet, the routes) counts its
+        units under the requesting tenant's identity.  Thread-local, re-entrant,
         restores the previous identity.
         """
         previous = getattr(self._tls, "tenant", None)
@@ -249,9 +220,9 @@ class ServiceExecutor:
         ``units`` may be a lazy iterable (the streaming route submits chunks
         as they arrive); the bounded queue then also bounds how far ahead of
         execution the producer can read.  A unit that raises propagates its
-        exception after the in-flight units drain.  The run schedules under
-        the tenant of the surrounding :meth:`tenant_context`, else the
-        default tenant.
+        exception after the in-flight units drain.  The run's units are
+        attributed to the tenant of the surrounding :meth:`tenant_context`,
+        else the default tenant.
         """
         started = time.perf_counter()
         report = ExecutorReport(mode=self.mode)
@@ -282,97 +253,50 @@ class ServiceExecutor:
     def _run_threads(
         self, units: Iterable[WorkUnit], report: ExecutorReport, tenant: str
     ) -> List[UnitResult]:
-        """Threads path under weighted deficit-round-robin.
+        """Threads path: one executor-wide slot per unit, then submit it.
 
-        Every producer pushes its units into the shared fair queue, then for
-        each pushed unit acquires one executor-wide slot and submits the
-        DRR-next item across *all* tenants — possibly another producer's.
-        Each producer pops exactly as many items as it pushed (and only
-        after pushing), so globally pops never exceed pushes and a pop never
-        finds the queue empty.  Results still align with this run's own
-        submission order; queue wait is measured from the moment a unit
-        entered the fair queue, so scheduler hold time is part of the wait.
+        Queue wait is timed from before the slot wait, so backpressure is
+        part of the measured wait.  If the units iterable raises, the units
+        already submitted drain before the error propagates.
         """
         pool = self._ensure_pool()
 
-        def timed(unit: WorkUnit, pushed_at: float) -> Tuple[Any, float, float]:
+        def timed(unit: WorkUnit, queued_at: float) -> Tuple[Any, float, float]:
             t0 = time.perf_counter()
-            queued_ms = (t0 - pushed_at) * 1e3
+            queued_ms = (t0 - queued_at) * 1e3
             value = unit.fn()
             return value, (time.perf_counter() - t0) * 1e3, queued_ms
 
-        def make_release(owner: str) -> Callable[[Future], None]:
-            def release(_future: Future) -> None:
-                with self._lock:
-                    self._in_flight -= 1
-                    self._tenant_in_flight[owner] = (
-                        self._tenant_in_flight.get(owner, 1) - 1
-                    )
-                self._slots.release()
-
-            return release
-
-        def submit_next() -> None:
-            """Pop the DRR-next item (never empty; see above) and submit it."""
-            with self._sched_lock:
-                popped = self._fair.pop()
-            if popped is None:  # pragma: no cover - invariant documented above
-                raise RuntimeError("fair queue empty with pops outstanding")
-            owner, chosen = popped
+        def release(_future: Optional[Future]) -> None:
             with self._lock:
-                self._in_flight += 1
-                report.max_in_flight = max(report.max_in_flight, self._in_flight)
-                self._tenant_in_flight[owner] = (
-                    self._tenant_in_flight.get(owner, 0) + 1
-                )
-            future = pool.submit(timed, chosen.unit, chosen.pushed_at)
-            future.add_done_callback(make_release(owner))
-            chosen.future = future
-            chosen.ready.set()
+                self._in_flight -= 1
+                self._tenant_in_flight[tenant] -= 1
+            self._slots.release()
 
-        mine: List[_FairItem] = []
-        unpopped = 0  # our pushes not yet matched by one of our pops
+        submitted: List[Tuple[WorkUnit, Future]] = []
         try:
             for unit in units:
-                item = _FairItem(unit=unit, pushed_at=time.perf_counter())
-                with self._sched_lock:
-                    self._fair.push(tenant, item)
-                mine.append(item)
-                unpopped += 1
-                # The push precedes the slot wait on purpose: a blocked
-                # producer's backlog must be visible to the DRR scheduler,
-                # otherwise slots would drain in semaphore-FIFO order and
-                # weights would never bite.
+                queued_at = time.perf_counter()
                 if not self._slots.acquire(blocking=False):
                     report.backpressure_waits += 1
                     self._slots.acquire()
-                submit_next()
-                unpopped -= 1
-        finally:
-            # Exceptional exits (a raising units generator, an interrupt
-            # between push and pop) may leave pushes unmatched; serve them
-            # inline so no producer's wait below can deadlock on an item
-            # nobody will ever pop.
-            while unpopped > 0:
-                with self._sched_lock:
-                    popped = self._fair.pop()
-                unpopped -= 1
-                if popped is None:
-                    break
-                _owner, chosen = popped
-                stub: Future = Future()
+                with self._lock:
+                    self._in_flight += 1
+                    report.max_in_flight = max(report.max_in_flight, self._in_flight)
+                    self._tenant_in_flight[tenant] = (
+                        self._tenant_in_flight.get(tenant, 0) + 1
+                    )
                 try:
-                    stub.set_result(timed(chosen.unit, chosen.pushed_at))
-                except BaseException as exc:  # noqa: BLE001 - delivered via future
-                    stub.set_exception(exc)
-                chosen.future = stub
-                chosen.ready.set()
+                    future = pool.submit(timed, unit, queued_at)
+                except BaseException:
+                    release(None)
+                    raise
+                future.add_done_callback(release)
+                submitted.append((unit, future))
+        finally:
             results: List[UnitResult] = []
             error: Optional[BaseException] = None
-            for item in mine:
-                item.ready.wait()
-                future = item.future
-                assert future is not None  # set before ready in every path
+            for unit, future in submitted:
                 try:
                     value, wall, queued = future.result()
                 except BaseException as exc:  # noqa: BLE001 - re-raised below
@@ -380,7 +304,7 @@ class ServiceExecutor:
                         error = exc
                     continue
                 results.append(
-                    UnitResult(unit=item.unit, value=value, wall_ms=wall, queue_ms=queued)
+                    UnitResult(unit=unit, value=value, wall_ms=wall, queue_ms=queued)
                 )
                 report.unit_wall_ms_sum += wall
                 report.unit_queue_ms_sum += queued

@@ -1,10 +1,10 @@
-"""Multi-tenant serving policies: quotas, token buckets, and fair queueing.
+"""Multi-tenant serving policies: byte budgets, token buckets and pin caps.
 
-The serving core (store, executor, dispatcher, load harness) is tenant-aware
-but tenant-agnostic by default: every entry point accepts a ``tenant=``
+The serving core (store, executor, dispatcher) is tenant-aware but
+tenant-agnostic by default: every entry point accepts a ``tenant=``
 identity that defaults to :data:`DEFAULT_TENANT`, and with no
 :class:`TenantRegistry` configured the single-tenant path is bit-for-bit the
-pre-tenancy behaviour.  When a registry *is* configured, four per-tenant
+pre-tenancy behaviour.  When a registry *is* configured, three per-tenant
 policy knobs take effect:
 
 - ``byte_budget`` — a cap on resident bytes in :class:`~repro.service.store.
@@ -12,12 +12,12 @@ policy knobs take effect:
   requesting tenant's own slice.
 - ``qps`` / ``burst`` — a token bucket charged per query; exhaustion raises
   :class:`~repro.errors.TenantQuotaError` before any work is dispatched.
-- ``weight`` — the share of executor slots under weighted deficit-round-robin
-  (see :class:`WeightedFairQueue`).
 - ``max_pins`` — a cap on simultaneously pinned vectors.
 
-Everything here is deterministic under injected clocks and seeds so the
-fairness properties can be proven by the test suite rather than observed
+There is no scheduling weight: the executor hands out slots without regard
+to tenant (see :mod:`repro.service.executor` for the measurement behind
+that).  Everything here is deterministic under injected clocks so the quota
+properties can be proven by the test suite rather than observed
 statistically.
 """
 
@@ -25,19 +25,8 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Deque,
-    Dict,
-    Generic,
-    Iterable,
-    List,
-    Optional,
-    Tuple,
-    TypeVar,
-)
+from typing import Callable, Dict, Iterable, List, Optional
 
 from ..errors import ConfigurationError, TenantQuotaError
 
@@ -46,7 +35,6 @@ __all__ = [
     "TenantPolicy",
     "TokenBucket",
     "TenantRegistry",
-    "WeightedFairQueue",
 ]
 
 #: Identity used when a caller does not name a tenant.  The default tenant
@@ -54,23 +42,19 @@ __all__ = [
 #: single-tenant path behaves exactly as it did before tenancy existed.
 DEFAULT_TENANT = "default"
 
-_T = TypeVar("_T")
-
 
 @dataclass(frozen=True)
 class TenantPolicy:
     """One tenant's resource policy.
 
     Every limit is optional: ``None`` means unlimited, which is also what an
-    unregistered tenant gets.  Weights are relative — only ratios between
-    tenants matter to the fair scheduler.
+    unregistered tenant gets.
     """
 
     tenant: str
     byte_budget: Optional[int] = None
     qps: Optional[float] = None
     burst: int = 8
-    weight: float = 1.0
     max_pins: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -83,8 +67,6 @@ class TenantPolicy:
             raise ConfigurationError("qps must be > 0, or None")
         if self.burst < 1:
             raise ConfigurationError("burst must be >= 1")
-        if not self.weight > 0:
-            raise ConfigurationError("weight must be > 0")
         if self.max_pins is not None and self.max_pins < 0:
             raise ConfigurationError("max_pins must be >= 0, or None")
 
@@ -149,10 +131,10 @@ class TenantRegistry:
     """Thread-safe lookup of per-tenant policies plus quota accounting.
 
     The registry owns one :class:`TokenBucket` per rate-limited tenant and
-    counts quota rejections per tenant so the load harness and reports can
-    surface them.  Unregistered tenants resolve to an unlimited default
-    policy — configuring a registry therefore never restricts tenants you
-    did not name.
+    counts quota rejections per tenant so reports can surface them.
+    Unregistered tenants resolve to an unlimited default policy —
+    configuring a registry therefore never restricts tenants you did not
+    name.
     """
 
     def __init__(
@@ -194,10 +176,6 @@ class TenantRegistry:
         with self._lock:
             return sorted(self._policies)
 
-    def weight(self, tenant: str) -> float:
-        """The tenant's scheduling weight (1.0 when unregistered)."""
-        return self.policy(tenant).weight
-
     def byte_budget(self, tenant: str) -> Optional[int]:
         """The tenant's resident-byte cap, or ``None`` for unlimited."""
         return self.policy(tenant).byte_budget
@@ -211,11 +189,21 @@ class TenantRegistry:
 
         Raises :class:`TenantQuotaError` (and counts the rejection) when the
         bucket cannot cover the charge; tenants with no ``qps`` policy are
-        never charged.
+        never charged.  A charge larger than the bucket's ``burst`` could
+        never pass, however long the caller waits, so it raises
+        :class:`ConfigurationError` up front without charging the bucket or
+        counting a rejection.
         """
         with self._lock:
             bucket = self._buckets.get(tenant)
-        if bucket is None or bucket.try_acquire(tokens):
+        if bucket is None:
+            return
+        if tokens > bucket.burst:
+            raise ConfigurationError(
+                f"a batch of {tokens:g} queries exceeds tenant {tenant!r}'s "
+                f"burst of {bucket.burst:g}; it can never pass the QPS quota"
+            )
+        if bucket.try_acquire(tokens):
             return
         self.note_rejection(tenant)
         raise TenantQuotaError(
@@ -239,97 +227,3 @@ class TenantRegistry:
         """A snapshot of per-tenant quota-rejection counts."""
         with self._lock:
             return dict(self._rejections)
-
-
-class WeightedFairQueue(Generic[_T]):
-    """Weighted deficit-round-robin over per-tenant FIFO queues.
-
-    Classic DRR in pop-one form: backlogged tenants sit in a rotation
-    ordered by when they first became backlogged; each visit credits the
-    tenant a quantum proportional to its weight (normalised so the lightest
-    active tenant's quantum is 1), and the tenant is served while its
-    deficit covers one unit.  The structure is fully deterministic — the pop
-    sequence is a pure function of the push sequence and the weights — which
-    gives three provable properties the test suite leans on:
-
-    - with a single tenant the pop order *is* the push order (exact FIFO);
-    - with equal weights the rotation serves one unit per visit, i.e.
-      round-robin, which for interleaved arrivals is again FIFO;
-    - while two tenants stay backlogged, served counts converge to the
-      weight ratio and a tenant's head-of-line wait is bounded by one round
-      (the sum of the other tenants' quanta plus one unit).
-
-    Not internally locked: callers that share a queue across threads hold
-    their own lock around ``push``/``pop`` (see ``ServiceExecutor``).
-    """
-
-    def __init__(self, weight_of: Callable[[str], float]) -> None:
-        """Create an empty queue; ``weight_of`` maps tenant name to weight."""
-        self._weight_of = weight_of
-        self._queues: "OrderedDict[str, Deque[_T]]" = OrderedDict()
-        self._deficit: Dict[str, float] = {}
-        self._charged: Dict[str, bool] = {}
-        self._rotation: List[str] = []
-        self._index = 0
-        self._total = 0
-
-    def __len__(self) -> int:
-        """Total queued items across all tenants."""
-        return self._total
-
-    def pending(self, tenant: str) -> int:
-        """Items currently queued for one tenant."""
-        queue = self._queues.get(tenant)
-        return len(queue) if queue is not None else 0
-
-    def tenants(self) -> List[str]:
-        """Tenants currently backlogged, in rotation order."""
-        return list(self._rotation)
-
-    def push(self, tenant: str, item: _T) -> None:
-        """Append ``item`` to the tenant's FIFO, activating it if idle."""
-        queue = self._queues.get(tenant)
-        if queue is None:
-            queue = deque()
-            self._queues[tenant] = queue
-        if not queue:
-            self._rotation.append(tenant)
-            self._deficit[tenant] = 0.0
-            self._charged[tenant] = False
-        queue.append(item)
-        self._total += 1
-
-    def _quantum(self, tenant: str) -> float:
-        """The tenant's per-visit credit, normalised by the lightest active weight."""
-        floor = min(self._weight_of(t) for t in self._rotation)
-        return self._weight_of(tenant) / floor
-
-    def _deactivate(self, position: int) -> None:
-        """Drop the drained tenant at rotation ``position``, fixing the cursor."""
-        tenant = self._rotation.pop(position)
-        self._deficit[tenant] = 0.0
-        self._charged[tenant] = False
-        if position < self._index:
-            self._index -= 1
-        if self._rotation and self._index >= len(self._rotation):
-            self._index = 0
-
-    def pop(self) -> Optional[Tuple[str, _T]]:
-        """Serve the DRR-next item as ``(tenant, item)``, or ``None`` if empty."""
-        if self._total == 0:
-            return None
-        while True:
-            tenant = self._rotation[self._index]
-            queue = self._queues[tenant]
-            if not self._charged[tenant]:
-                self._deficit[tenant] += self._quantum(tenant)
-                self._charged[tenant] = True
-            if self._deficit[tenant] + 1e-9 >= 1.0:
-                self._deficit[tenant] -= 1.0
-                item = queue.popleft()
-                self._total -= 1
-                if not queue:
-                    self._deactivate(self._index)
-                return tenant, item
-            self._charged[tenant] = False
-            self._index = (self._index + 1) % len(self._rotation)

@@ -59,11 +59,9 @@ def test_glossary_covers_the_promised_fields():
     for field in (
         "construction_bytes",
         "plan_bank_hits",
-        "p50",
-        "p95",
-        "p99",
-        "shed",
-        "degraded",
+        "latency_p50_ms",
+        "latency_p99_ms",
+        "queries_per_s",
         "slo_attainment",
         "queue_capacity",
     ):

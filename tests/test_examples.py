@@ -67,13 +67,3 @@ def test_batch_service(monkeypatch, capsys):
     assert "constructions              : 1 (loop pays 8)" in out
     assert "traffic saved" in out
     assert "matches the one-shot answer" in out
-
-
-def test_load_test(monkeypatch, capsys):
-    out = run_example(monkeypatch, capsys, "load_test.py", [13, 3, 60])
-    assert "admitting 3 named vectors" in out
-    assert "closed loop: 3 users" in out
-    assert "peak in flight 3 (bound 3)" in out
-    assert "closed-loop latency / SLO per route" in out
-    assert "p50_ms" in out and "p99_ms" in out and "slo_attainment" in out
-    assert "the arrival loop never blocked" in out

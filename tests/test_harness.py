@@ -43,9 +43,8 @@ class TestRunnerRegistry:
             "hotpath",  # cold vs plan-bank-warm serving cost (not a paper figure)
             "multivector",  # named admit/query/evict lifecycle (not a paper figure)
             "hotfuse",  # fused vs per-query group selection (not a paper figure)
-            "loadgen",  # tail latency + admission control under load (not a paper figure)
             "spillwarm",  # out-of-core spill tier + warm restart (not a paper figure)
-            "tenantfair",  # multi-tenant fairness + isolation (not a paper figure)
+            "tenantfair",  # multi-tenant quotas + isolation (not a paper figure)
         }
         assert expected == names
 

@@ -266,39 +266,6 @@ def test_dispatcher_validation(uniform_u32):
         dispatcher.dispatch(uniform_u32, [(uniform_u32.shape[0] + 1, True)])
 
 
-def test_query_cached_is_result_cache_only(uniform_u32):
-    with ServiceDispatcher(num_workers=2) as dispatcher:
-        dispatcher.admit("vec", uniform_u32)
-        # Nothing served yet: the degrade path finds nothing, runs nothing.
-        misses = dispatcher.query_cached("vec", [(32, True)])
-        assert misses == [None]
-        served = dispatcher.query("vec", [(32, True), (8, False)])
-        report_before = dispatcher.last_report
-        hits = dispatcher.query_cached("vec", [(32, True), (8, False), (64, True)])
-        assert hits[0] is not None and hits[1] is not None
-        assert np.array_equal(hits[0].values, served[0].values)
-        assert np.array_equal(hits[1].values, served[1].values)
-        assert hits[2] is None  # k=64 was never served
-        # query_cached never dispatched: the last report is untouched.
-        assert dispatcher.last_report is report_before
-
-
-def test_query_cached_wraps_single_queries_and_validates(uniform_u32):
-    with ServiceDispatcher(num_workers=1) as dispatcher:
-        dispatcher.admit("vec", uniform_u32, warm=[(16, True)])
-        hits = dispatcher.query_cached("vec", 16)
-        assert len(hits) == 1 and hits[0] is not None
-        with pytest.raises(ConfigurationError):
-            dispatcher.query_cached("ghost", [(16, True)])
-
-
-def test_query_cached_without_result_cache_misses(uniform_u32):
-    with ServiceDispatcher(num_workers=1, result_cache_capacity=0) as dispatcher:
-        dispatcher.admit("vec", uniform_u32)
-        dispatcher.query("vec", [(16, True)])
-        assert dispatcher.query_cached("vec", [(16, True)]) == [None]
-
-
 def test_dispatch_report_carries_unit_queue_waits(uniform_u32):
     with ServiceDispatcher(num_workers=2) as dispatcher:
         dispatcher.dispatch(uniform_u32, [(16, True), (32, True), (8, False)])

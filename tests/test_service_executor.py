@@ -9,7 +9,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.service.executor import ServiceExecutor, WorkUnit
-from repro.service.tenancy import TenantRegistry
+from repro.service.tenancy import DEFAULT_TENANT
 
 
 def make_units(count, fn_for):
@@ -169,8 +169,7 @@ def test_sequential_mode_reports_zero_queue_wait():
     executor.shutdown()
 
 
-@pytest.mark.parametrize("tenants", [None, TenantRegistry()], ids=["none", "registry"])
-def test_queue_capacity_bounds_concurrent_runs(tenants):
+def test_queue_capacity_bounds_concurrent_runs():
     # Two threads share one executor; the capacity is executor-wide, so
     # neither run may ever see more than queue_capacity units in flight.
     release = threading.Event()
@@ -182,7 +181,7 @@ def test_queue_capacity_bounds_concurrent_runs(tenants):
 
         return fn
 
-    executor = ServiceExecutor(max_workers=1, queue_capacity=2, tenants=tenants)
+    executor = ServiceExecutor(max_workers=1, queue_capacity=2)
     outcomes = {}
 
     def submit(name):
@@ -201,4 +200,78 @@ def test_queue_capacity_bounds_concurrent_runs(tenants):
     for values, max_in_flight in outcomes.values():
         assert values == list(range(4))
         assert max_in_flight <= 2
+    executor.shutdown()
+
+
+def test_raising_units_generator_drains_and_releases_its_slots():
+    # The iterable fails after two units were submitted: the error surfaces
+    # once they drain, their slots come back, and the executor stays usable.
+    def units():
+        for i in range(2):
+            yield WorkUnit(fn=(lambda j=i: time.sleep(0.01) or j))
+        raise RuntimeError("producer failed")
+
+    executor = ServiceExecutor(max_workers=1, queue_capacity=2)
+    with pytest.raises(RuntimeError, match="producer failed"):
+        executor.run(units())
+    assert executor.in_flight_for(DEFAULT_TENANT) == 0
+    outcome = {}
+
+    def follow_up():
+        outcome["results"] = executor.run(make_units(4, lambda i: (lambda: i)))
+
+    thread = threading.Thread(target=follow_up)
+    thread.start()
+    thread.join(timeout=10.0)
+    assert not thread.is_alive(), "slots leaked: the next run hung"
+    assert [r.value for r in outcome["results"]] == [0, 1, 2, 3]
+    executor.shutdown()
+
+
+def test_concurrent_tenant_runs_share_the_slots_exactly_once():
+    # Two tenants x four producer threads x 25 units on one gated worker:
+    # every unit runs once, each run keeps its own submission order, the
+    # executor-wide capacity holds, and units are attributed per tenant.
+    gate = threading.Event()
+    lock = threading.Lock()
+    ran = []
+    executor = ServiceExecutor(max_workers=1, queue_capacity=2)
+    outcomes = {}
+
+    def produce(tenant, producer):
+        def unit(i):
+            def fn():
+                with lock:
+                    ran.append((tenant, producer, i))
+                gate.wait(timeout=10.0)
+                return (tenant, producer, i)
+
+            return WorkUnit(fn=fn)
+
+        with executor.tenant_context(tenant):
+            results = executor.run(unit(i) for i in range(25))
+            outcomes[(tenant, producer)] = (
+                [r.value for r in results],
+                executor.last_report.max_in_flight,
+            )
+
+    threads = [
+        threading.Thread(target=produce, args=(tenant, p))
+        for tenant in ("hot", "quiet")
+        for p in range(4)
+    ]
+    for thread in threads:
+        thread.start()
+    time.sleep(0.05)  # every producer blocks on the gated worker
+    gate.set()
+    for thread in threads:
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+    assert len(ran) == len(set(ran)) == 200
+    assert len(outcomes) == 8
+    for (tenant, producer), (values, max_in_flight) in outcomes.items():
+        assert values == [(tenant, producer, i) for i in range(25)]
+        assert max_in_flight <= 2
+    assert executor.tenant_units("hot") == executor.tenant_units("quiet") == 100
+    assert executor.in_flight_for("hot") == executor.in_flight_for("quiet") == 0
     executor.shutdown()

@@ -1,14 +1,11 @@
-"""Multi-tenant serving: quotas, fairness, isolation — the proof suite.
+"""Multi-tenant serving: quotas and isolation — the proof suite.
 
 The tenancy machinery claims properties, not tendencies, and everything
 here is deterministic so they can be *proved* per seed:
 
-* the token bucket's refill is monotone in an injected clock and a
-  rejected burst leaves no half-admitted state;
-* the weighted deficit-round-robin queue degrades to exact FIFO with one
-  tenant (or equal weights over interleaved arrivals), serves backlogged
-  tenants in their weight ratio, and is a pure function of the push
-  sequence (property-tested over seeded random weights and arrivals);
+* the token bucket's refill is monotone in an injected clock, a rejected
+  burst leaves no half-admitted state, and a batch larger than the burst
+  is a configuration error rather than a retryable quota rejection;
 * the store's per-tenant byte ledgers always sum to the resident total —
   including under a four-thread admission hammer — and eviction victims
   only ever come from the requesting tenant's slice;
@@ -30,7 +27,6 @@ import pytest
 
 from repro.errors import ConfigurationError, TenantQuotaError
 from repro.service import ServiceDispatcher
-from repro.service.loadgen import LoadHarness, PoissonArrivals, RequestProfile
 from repro.service.spill import MANIFEST_NAME, SpillDirectory
 from repro.service.store import VectorStore
 from repro.service.cache import fingerprint_array
@@ -39,7 +35,6 @@ from repro.service.tenancy import (
     TenantPolicy,
     TenantRegistry,
     TokenBucket,
-    WeightedFairQueue,
 )
 
 N = 1 << 12
@@ -70,8 +65,8 @@ class FakeClock:
         {"tenant": "t", "qps": 0.0},
         {"tenant": "t", "qps": -1.0},
         {"tenant": "t", "burst": 0},
-        {"tenant": "t", "weight": 0.0},
-        {"tenant": "t", "weight": -2.0},
+        {"tenant": "t", "byte_budget": -1},
+        {"tenant": "t", "burst": -1},
         {"tenant": "t", "max_pins": -1},
     ],
 )
@@ -142,114 +137,6 @@ def test_registry_quota_counts_rejections_per_tenant():
 
 
 # ---------------------------------------------------------------------------
-# WeightedFairQueue — provable scheduling properties
-# ---------------------------------------------------------------------------
-
-
-def test_wfq_single_tenant_is_exact_fifo():
-    fair = WeightedFairQueue(lambda t: 7.0)
-    items = list(range(50))
-    for item in items:
-        fair.push("solo", item)
-    assert [fair.pop() for _ in items] == [("solo", i) for i in items]
-    assert fair.pop() is None and len(fair) == 0
-
-
-def test_wfq_equal_weights_interleaved_is_fifo():
-    fair = WeightedFairQueue(lambda t: 1.0)
-    pushes = [("a", 0), ("b", 1), ("a", 2), ("b", 3), ("a", 4), ("b", 5)]
-    for tenant, item in pushes:
-        fair.push(tenant, item)
-    popped = [fair.pop()[1] for _ in pushes]
-    assert popped == [0, 1, 2, 3, 4, 5]
-
-
-def test_wfq_converges_to_weight_ratio_under_backlog():
-    weights = {"hot": 4.0, "quiet": 1.0}
-    fair = WeightedFairQueue(weights.__getitem__)
-    for i in range(200):
-        fair.push("hot", i)
-        fair.push("quiet", i)
-    served = {"hot": 0, "quiet": 0}
-    for _ in range(100):  # both stay backlogged throughout
-        tenant, _ = fair.pop()
-        served[tenant] += 1
-    assert served == {"hot": 80, "quiet": 20}
-
-
-def test_wfq_head_of_line_wait_bounded_by_one_round():
-    # With weights 4:1 the quiet tenant waits at most one hot quantum (4
-    # units) between its services while both stay backlogged.
-    fair = WeightedFairQueue(lambda t: 4.0 if t == "hot" else 1.0)
-    for i in range(100):
-        fair.push("hot", i)
-        fair.push("quiet", i)
-    gap, worst = 0, 0
-    for _ in range(50):
-        tenant, _ = fair.pop()
-        if tenant == "quiet":
-            worst, gap = max(worst, gap), 0
-        else:
-            gap += 1
-    assert worst <= 4
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_wfq_property_deterministic_and_fifo_per_tenant(seed):
-    rng = np.random.default_rng(seed)
-    tenants = [f"t{i}" for i in range(int(rng.integers(2, 5)))]
-    weights = {t: float(rng.uniform(0.5, 8.0)) for t in tenants}
-
-    def run():
-        fair = WeightedFairQueue(weights.__getitem__)
-        order = []
-        pushed = {t: [] for t in tenants}
-        arrivals = rng.integers(0, len(tenants), size=120)
-        rng_state = arrivals.tolist()  # identical across both runs below
-        for i, which in enumerate(rng_state):
-            tenant = tenants[which]
-            fair.push(tenant, i)
-            pushed[tenant].append(i)
-            if i % 3 == 0 and len(fair):  # interleave pops with pushes
-                order.append(fair.pop())
-        while len(fair):
-            order.append(fair.pop())
-        return order, pushed
-
-    # rng must be re-seeded so both runs see the same arrival sequence.
-    rng = np.random.default_rng(seed)
-    first, pushed = run()
-    rng = np.random.default_rng(seed)
-    second, _ = run()
-    # Pure function of the push sequence and weights: bit-identical replay.
-    assert first == second
-    # Per-tenant FIFO: each tenant's items pop in its own push order.
-    for tenant in tenants:
-        got = [item for t, item in first if t == tenant]
-        assert got == pushed[tenant]
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_wfq_property_backlogged_shares_match_weights(seed):
-    rng = np.random.default_rng(100 + seed)
-    weights = {"a": float(rng.uniform(1, 6)), "b": float(rng.uniform(1, 6))}
-    fair = WeightedFairQueue(weights.__getitem__)
-    for i in range(600):
-        fair.push("a", i)
-        fair.push("b", i)
-    served = {"a": 0, "b": 0}
-    pops = 300  # both backlogged for all 300 pops
-    for _ in range(pops):
-        tenant, _ = fair.pop()
-        served[tenant] += 1
-    share = served["a"] / pops
-    want = weights["a"] / (weights["a"] + weights["b"])
-    # DRR quantisation bounds the error by one round, not a percentage.
-    round_units = sum(w / min(weights.values()) for w in weights.values())
-    assert abs(share - want) <= round_units / pops
-
-
-# ---------------------------------------------------------------------------
 # VectorStore — ledgers, isolation, atomic rejection
 # ---------------------------------------------------------------------------
 
@@ -257,10 +144,9 @@ def test_wfq_property_backlogged_shares_match_weights(seed):
 def registry_two(hot_budget, quiet_budget, quiet_pins=None):
     return TenantRegistry(
         policies=[
-            TenantPolicy(tenant="hot", weight=4.0, byte_budget=hot_budget),
+            TenantPolicy(tenant="hot", byte_budget=hot_budget),
             TenantPolicy(
-                tenant="quiet", weight=1.0, byte_budget=quiet_budget,
-                max_pins=quiet_pins,
+                tenant="quiet", byte_budget=quiet_budget, max_pins=quiet_pins
             ),
         ]
     )
@@ -421,9 +307,28 @@ def test_dispatcher_qps_quota_is_deterministic_and_atomic():
             d.query("hv", [8], tenant="hot")
         # A multi-query batch charges len(queries): reject it atomically.
         clock.now = 2.0
+        d.query("hv", [8], tenant="hot")  # takes one of the two refilled tokens
         with pytest.raises(TenantQuotaError):
-            d.query("hv", [(8, True), (16, True), (32, True)], tenant="hot")
+            d.query("hv", [(8, True), (16, True)], tenant="hot")
+        clock.now = 2.5  # the rejected batch took nothing: 1 + 1 tokens
         assert d.query("hv", [(8, True), (16, True)], tenant="hot")
+
+
+def test_batch_larger_than_burst_is_a_configuration_error():
+    # The bucket never holds more than `burst` tokens, so a bigger batch
+    # could never pass: reject it up front, uncharged and uncounted.
+    clock = FakeClock()
+    registry = TenantRegistry(
+        policies=[TenantPolicy(tenant="x", qps=1.0, burst=2)], clock=clock
+    )
+    with ServiceDispatcher(num_workers=1, capacity_elements=N, tenants=registry) as d:
+        d.admit("a", vec(0), tenant="x")
+        for advance in (0.0, 100.0):
+            clock.now += advance
+            with pytest.raises(ConfigurationError, match="batch of 3 .*burst of 2"):
+                d.query("a", [1, 2, 3], tenant="x")
+        assert len(d.query("a", [1, 2], tenant="x")) == 2
+    assert registry.rejections("x") == 0
 
 
 def test_noisy_neighbour_never_touches_quiet_tenant():
@@ -602,77 +507,3 @@ def test_default_tenant_report_and_ledger_behaviour():
         # Without a registry the per-tenant ledger map stays empty in info().
         assert d.store.info().tenant_bytes == {}
         assert d.store.info().cross_tenant_evictions == 0
-
-
-# ---------------------------------------------------------------------------
-# Load harness — quota outcomes and TenantStats
-# ---------------------------------------------------------------------------
-
-
-def fair_dispatcher(registry):
-    d = ServiceDispatcher(
-        num_workers=2, capacity_elements=N, queue_capacity=8, tenants=registry
-    )
-    d.admit("hv", vec(0), tenant="hot", warm=[(8, True)])
-    d.admit("qv", vec(1), tenant="quiet", warm=[(8, True)])
-    return d
-
-
-def test_loadgen_multi_tenant_report_and_prometheus():
-    registry = registry_two(None, None)
-    with fair_dispatcher(registry) as d:
-        harness = LoadHarness(
-            d,
-            [
-                RequestProfile(route="batched", names=("hv",), ks=(8,), weight=4.0, tenant="hot"),
-                RequestProfile(route="batched", names=("qv",), ks=(8,), tenant="quiet"),
-            ],
-            seed=3,
-        )
-        report = harness.run_open(PoissonArrivals(500.0, seed=3), 60)
-    assert report.mode == "open-fair"
-    tenants = {t.tenant: t for t in report.tenants}
-    assert set(tenants) == {"hot", "quiet"}
-    assert sum(t.attained_share for t in tenants.values()) == pytest.approx(1.0)
-    assert tenants["hot"].configured_share == pytest.approx(0.8)
-    assert tenants["quiet"].configured_share == pytest.approx(0.2)
-    assert {row["tenant"] for row in report.tenant_rows()} == {"hot", "quiet"}
-    text = report.to_prometheus()
-    assert "repro_loadgen_tenant_attained_share" in text
-    assert 'tenant="quiet"' in text
-
-
-def test_loadgen_quota_outcome_counted():
-    clock = FakeClock()
-    registry = TenantRegistry(
-        policies=[
-            TenantPolicy(tenant="hot", qps=1000.0, burst=2),
-            TenantPolicy(tenant="quiet", weight=1.0),
-        ],
-        clock=clock,  # frozen: the bucket never refills mid-run
-    )
-    with fair_dispatcher(registry) as d:
-        harness = LoadHarness(
-            d,
-            [RequestProfile(route="batched", names=("hv",), ks=(8,), tenant="hot")],
-            seed=0,
-        )
-        report = harness.run_open(PoissonArrivals(50.0, seed=0), 6)
-    stats = report.tenant_stats("hot")
-    assert stats.ok == 2  # the burst
-    assert stats.quota == 4  # everything after it, counted not crashed
-    assert report.quota == 4
-    assert report.route_stats("all").quota == 4
-    assert registry.rejections("hot") == 4
-
-
-def test_loadgen_closed_loop_rejects_multi_tenant():
-    registry = registry_two(None, None)
-    with fair_dispatcher(registry) as d:
-        harness = LoadHarness(
-            d,
-            [RequestProfile(route="batched", names=("hv",), ks=(8,), tenant="hot")],
-            seed=0,
-        )
-        with pytest.raises(ConfigurationError, match="closed-loop"):
-            harness.run_closed(concurrency=2, requests=4)

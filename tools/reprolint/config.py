@@ -40,9 +40,6 @@ DEFAULT_GLOSSARY_CLASSES: Dict[str, str] = {
     "SaveReport": "src/repro/service/dispatcher.py",
     "RestoreReport": "src/repro/service/dispatcher.py",
     "CacheInfo": "src/repro/service/cache.py",
-    "LoadReport": "src/repro/service/loadgen.py",
-    "RouteStats": "src/repro/service/loadgen.py",
-    "TenantStats": "src/repro/service/loadgen.py",
     "TenantPolicy": "src/repro/service/tenancy.py",
     "ScrubReport": "src/repro/service/scrubber.py",
 }
