@@ -9,7 +9,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.service.executor import ServiceExecutor, WorkUnit
-from repro.service.tenancy import DEFAULT_TENANT
+from repro.service.tenancy import DEFAULT_TENANT, TenantPolicy, TenantRegistry
 
 
 def make_units(count, fn_for):
@@ -169,9 +169,16 @@ def test_sequential_mode_reports_zero_queue_wait():
     executor.shutdown()
 
 
-def test_queue_capacity_bounds_concurrent_runs():
+@pytest.mark.parametrize(
+    "registry",
+    [None, TenantRegistry([TenantPolicy("a"), TenantPolicy("b")])],
+    ids=["none", "registry"],
+)
+def test_queue_capacity_bounds_concurrent_runs(registry):
     # Two threads share one executor; the capacity is executor-wide, so
     # neither run may ever see more than queue_capacity units in flight.
+    # With a registry each run is attributed to its own tenant, as the
+    # dispatcher does: the bound still holds across tenants.
     release = threading.Event()
 
     def fn_for(i):
@@ -185,7 +192,11 @@ def test_queue_capacity_bounds_concurrent_runs():
     outcomes = {}
 
     def submit(name):
-        results = executor.run(make_units(4, fn_for))
+        if registry is None:
+            results = executor.run(make_units(4, fn_for))
+        else:
+            with executor.tenant_context(name):
+                results = executor.run(make_units(4, fn_for))
         outcomes[name] = ([r.value for r in results], executor.last_report.max_in_flight)
 
     threads = [threading.Thread(target=submit, args=(n,)) for n in ("a", "b")]
@@ -200,6 +211,8 @@ def test_queue_capacity_bounds_concurrent_runs():
     for values, max_in_flight in outcomes.values():
         assert values == list(range(4))
         assert max_in_flight <= 2
+    if registry is not None:
+        assert [executor.tenant_units(t) for t in registry.tenants()] == [4, 4]
     executor.shutdown()
 
 
